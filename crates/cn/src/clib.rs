@@ -1,9 +1,10 @@
 //! CLib's user-facing request layer (paper §3.1 API, §4.5 ordering).
 //!
 //! A [`CLib`] instance lives inside a compute-node host actor, next to the
-//! NIC. Applications (or the blocking runtime in `clio-core`) submit [`Op`]s
-//! tagged with a [`ThreadId`]; CLib enforces the paper's intra-thread
-//! ordering rules before handing requests to the [`Transport`]:
+//! NIC. Applications (through the client runtime in `clio-core`) submit
+//! [`Op`]s tagged with a [`ThreadId`]; CLib enforces the paper's
+//! intra-thread ordering rules before handing requests to the
+//! [`Transport`]:
 //!
 //! * dependent (WAW/RAW/WAR) operations of one thread never overlap,
 //!   tracked at page granularity,

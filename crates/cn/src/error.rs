@@ -43,9 +43,6 @@ pub enum ClioError {
         /// Length of the refused access.
         len: u64,
     },
-    /// An async handle was polled by a process that did not issue it (or
-    /// after its issuing process released it).
-    InvalidHandle,
 }
 
 impl std::fmt::Display for ClioError {
@@ -62,9 +59,6 @@ impl std::fmt::Display for ClioError {
             ClioError::Moved => write!(f, "region moved to another memory node"),
             ClioError::SpansOwners { va, len } => {
                 write!(f, "access {va:#x}+{len} spans multiple memory nodes; split it")
-            }
-            ClioError::InvalidHandle => {
-                write!(f, "async handle does not belong to this process")
             }
         }
     }
@@ -96,7 +90,6 @@ mod tests {
         assert!(ClioError::Unreachable { mn: Mac(2) }.to_string().contains("unreachable"));
         assert!(ClioError::DeadlineExceeded.to_string().contains("deadline"));
         assert!(ClioError::Remote(Status::InvalidAddr).to_string().contains("invalid"));
-        assert!(ClioError::InvalidHandle.to_string().contains("does not belong"));
         let spans = ClioError::SpansOwners { va: 0x1000, len: 8192 };
         assert!(spans.to_string().contains("spans multiple memory nodes"));
         assert!(spans.to_string().contains("0x1000"));

@@ -1019,9 +1019,12 @@ impl Transport {
         self.doorbells.insert(target, ev);
     }
 
-    /// Kicks every queue (after a completion/failure freed window space).
+    /// Kicks every queue (after a completion/failure freed window space),
+    /// in MAC order: `HashMap` iteration order is seeded per instance, and
+    /// the send order decides the run's digest.
     fn kick_all(&mut self, ctx: &mut Ctx<'_>, nic: &mut NicPort, done: &mut Vec<XferDone>) {
-        let macs: Vec<Mac> = self.queues.keys().copied().collect();
+        let mut macs: Vec<Mac> = self.queues.keys().copied().collect();
+        macs.sort_unstable();
         for m in macs {
             self.kick(ctx, nic, m, done);
         }

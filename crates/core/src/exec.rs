@@ -1,8 +1,8 @@
 //! # Deterministic async executor for client programs
 //!
-//! The third way to program a [`Cluster`](crate::Cluster), between raw
-//! event-driven [`ClientDriver`]s and the OS-thread blocking runtime:
-//! cooperative tasks whose remote operations are real `Future`s —
+//! The way to program a [`Cluster`](crate::Cluster): cooperative tasks,
+//! built on the raw event-driven [`ClientDriver`] interface, whose remote
+//! operations are real `Future`s —
 //!
 //! ```ignore
 //! cluster.spawn(0, pid, |h| async move {
@@ -13,12 +13,12 @@
 //! ```
 //!
 //! One [`ExecDriver`] hosts any number of tasks on a compute node; tasks
-//! run *inside* the simulation's event loop (no OS threads on the hot
-//! path), so a single simulated CN sustains tens of thousands of
-//! concurrent outstanding ops. Determinism is absolute: tasks are only
-//! polled from sim callbacks, ready/submission queues are FIFO, and every
-//! wake-up is carried by a sim event — same program + same seed ⇒ the
-//! same virtual-time schedule and `Simulation::digest`.
+//! run *inside* the simulation's event loop (no OS threads), so a single
+//! simulated CN sustains tens of thousands of concurrent outstanding ops.
+//! Determinism is absolute: tasks are only polled from sim callbacks,
+//! ready/submission queues are FIFO, and every wake-up is carried by a sim
+//! event — same program + same seed ⇒ the same virtual-time schedule and
+//! `Simulation::digest`.
 //!
 //! ## Waker path
 //!
@@ -617,7 +617,7 @@ impl ProcHandle {
 
     /// Resolves on the next [`PokeDriver`](crate::node::PokeDriver)
     /// delivered to this executor (level-triggered: pokes arriving while
-    /// nobody awaits are not lost). The blocking-shim servicer's doorbell.
+    /// nobody awaits are not lost). A harness-side doorbell.
     pub fn next_poke(&self) -> PokeFuture {
         PokeFuture { shared: self.shared.clone() }
     }

@@ -4,17 +4,14 @@
 //! deployments (compute nodes + CBoards + ToR switch + global controller)
 //! and offers two ways to program against them:
 //!
-//! * **event-driven drivers** ([`ClientDriver`]) — state machines used by
-//!   workload generators and benchmarks; thousands of client processes cost
-//!   no OS threads,
-//! * **async tasks** ([`exec`]) — a deterministic cooperative executor where
-//!   remote ops are futures (`h.rread(va, len).await`), completions wake
-//!   tasks through per-op wakers, and submission is backpressure-aware; the
-//!   [`exec::openloop`] generator drives open-loop offered load,
-//! * **the blocking runtime** ([`runtime::BlockingCluster`]) — spawn real OS
-//!   threads whose code reads like the paper's Figure 1
-//!   (`ralloc`/`rread`/`rwrite`/`rlock`/...); a thin compatibility shim
-//!   over the executor under the hood.
+//! * **async tasks** ([`exec`]) — the way to write a client: a deterministic
+//!   cooperative executor where the paper's Figure 1 API
+//!   (`ralloc`/`rread`/`rwrite`/`rlock`/...) returns futures
+//!   (`h.rread(va, len).await`), completions wake tasks through per-op
+//!   wakers, and submission is backpressure-aware; the [`exec::openloop`]
+//!   generator drives open-loop offered load,
+//! * **event-driven drivers** ([`ClientDriver`]) — the raw state machines
+//!   the executor itself is built on, still used by the figure benches.
 //!
 //! The [`Controller`] implements the paper's two-level distributed virtual
 //! memory management (§4.7): it places allocations across MNs (each MN owns
@@ -27,7 +24,6 @@ pub mod controller;
 pub mod exec;
 pub mod metrics;
 pub mod node;
-pub mod runtime;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use controller::Controller;
@@ -35,4 +31,3 @@ pub use exec::{ExecDriver, OpFuture, ProcHandle};
 pub use node::{
     AppCompletion, AppResult, AppToken, ClientApi, ClientDriver, ComputeNode, RuntimeGauges,
 };
-pub use runtime::{BlockingCluster, RemoteProcess};

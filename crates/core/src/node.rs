@@ -2,8 +2,8 @@
 //!
 //! A [`ComputeNode`] owns a NIC, a CLib instance and any number of
 //! [`ClientDriver`]s — event-driven client programs (workload generators,
-//! application clients, bridges for the blocking runtime). Drivers issue
-//! operations through [`ClientApi`] using only `(pid, va)`; the node resolves
+//! application clients, the async executor). Drivers issue operations
+//! through [`ClientApi`] using only `(pid, va)`; the node resolves
 //! which memory node owns the address (slice routing plus
 //! migration-exception cache), consults the global controller for
 //! allocations and after `Moved` refusals, and transparently re-issues
@@ -245,8 +245,8 @@ struct HostOp {
 #[derive(Debug, Clone, Copy)]
 pub struct StartClients;
 
-/// Wakes one driver with the reserved poke tag (used by the blocking
-/// runtime to make a bridge driver drain its command queue).
+/// Wakes one driver with the reserved poke tag: a harness-side doorbell
+/// (see [`ProcHandle::next_poke`](crate::ProcHandle::next_poke)).
 #[derive(Debug, Clone, Copy)]
 pub struct PokeDriver {
     /// The driver index on the target compute node.

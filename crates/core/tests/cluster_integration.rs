@@ -1,11 +1,14 @@
-//! Full-system integration: clusters with event-driven drivers, the
-//! blocking runtime, cross-CN sharing, multi-MN placement and
+//! Full-system integration: clusters with event-driven drivers, async
+//! client tasks, cross-CN sharing, multi-MN placement and
 //! pressure-triggered migration.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use bytes::Bytes;
-use clio_core::runtime::BlockingCluster;
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
-use clio_proto::Perm;
+use clio_cn::CompletionValue;
+use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig, ExecDriver};
+use clio_proto::{Perm, Pid};
 use clio_sim::SimDuration;
 
 /// Driver that allocates, writes a pattern, reads it back, and checks it.
@@ -54,7 +57,7 @@ impl ClientDriver for WriteReadClient {
 #[test]
 fn driver_roundtrip_on_small_cluster() {
     let mut cluster = Cluster::build(&ClusterConfig::test_small());
-    cluster.add_driver(0, clio_proto::Pid(1), Box::new(WriteReadClient::new(vec![7u8; 3000])));
+    cluster.add_driver(0, Pid(1), Box::new(WriteReadClient::new(vec![7u8; 3000])));
     cluster.start();
     cluster.run_until_idle();
     let d: &WriteReadClient = cluster.cn(0).driver(0);
@@ -71,11 +74,7 @@ fn many_processes_on_many_cns_and_mns() {
     let mut cluster = Cluster::build(&cfg);
     for i in 0..12u64 {
         let cn = (i % 3) as usize;
-        cluster.add_driver(
-            cn,
-            clio_proto::Pid(100 + i),
-            Box::new(WriteReadClient::new(vec![i as u8; 512])),
-        );
+        cluster.add_driver(cn, Pid(100 + i), Box::new(WriteReadClient::new(vec![i as u8; 512])));
     }
     cluster.start();
     cluster.run_until_idle();
@@ -91,115 +90,108 @@ fn many_processes_on_many_cns_and_mns() {
     assert!(used0 > 0 && used1 > 0, "placement ignored one MN: {used0}/{used1}");
 }
 
-#[test]
-fn blocking_runtime_figure1_style() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    // The paper's Figure 1, nearly verbatim.
-    bc.spawn(0, 42, |p| {
-        let remote_addr = p.ralloc(4096).expect("ralloc");
-        let lock = p.ralloc(4096).expect("ralloc lock page");
-
-        p.rlock(lock).expect("rlock");
-        let e0 = p.rwrite_async(remote_addr, b"hello ");
-        let e1 = p.rwrite_async(remote_addr + 6, b"world");
-        p.runlock(lock).expect("runlock");
-        p.rpoll(&[e0, e1]).expect("rpoll");
-
-        let back = p.rread(remote_addr, 11).expect("rread");
-        assert_eq!(&back[..], b"hello world");
-
-        p.compute(SimDuration::from_micros(50));
-        p.rfree(remote_addr, 4096).expect("rfree");
-    });
-    bc.run();
+/// Starts `cluster`, runs it until idle, and asserts that every task of
+/// the executors at `drivers` (driver indices on CN 0) ran to completion.
+fn run_to_completion(cluster: &mut Cluster, drivers: &[usize]) {
+    cluster.start();
+    cluster.run_until_idle();
+    for &d in drivers {
+        assert_eq!(cluster.cn(0).driver::<ExecDriver>(d).live_tasks(), 0, "driver {d} hung");
+    }
 }
 
 #[test]
-fn blocking_runtime_scatter_gather() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    bc.spawn(0, 42, |p| {
-        let va = p.ralloc(16 << 10).expect("ralloc");
-        // Blocking scatter/gather write: one explicit vector, one call.
-        let writes: Vec<(u64, Vec<u8>)> =
-            (0..16u64).map(|i| (va + i * 1024, vec![i as u8 + 1; 64])).collect();
-        let write_refs: Vec<(u64, &[u8])> =
-            writes.iter().map(|(a, d)| (*a, d.as_slice())).collect();
-        p.rwrite_v(&write_refs).expect("rwrite_v");
-        // Blocking scatter/gather read returns results in request order.
-        let reads: Vec<(u64, u32)> = (0..16u64).map(|i| (va + i * 1024, 64)).collect();
-        let data = p.rread_v(&reads).expect("rread_v");
-        assert_eq!(data.len(), 16);
-        for (i, d) in data.iter().enumerate() {
-            assert!(d.iter().all(|&b| b == i as u8 + 1), "entry {i} wrong data");
-        }
-        // Async variants hand back one handle per entry for rpoll.
-        let handles = p.rread_v_async(&reads);
-        assert_eq!(handles.len(), 16);
-        let polled = p.rpoll(&handles).expect("rpoll over vector handles");
-        assert_eq!(polled.len(), 16);
-        // Single-entry and empty vectors degenerate cleanly.
-        let one = p.rread_v(&reads[..1]).expect("single-entry rread_v");
-        assert_eq!(one.len(), 1);
-        assert!(p.rread_v(&[]).expect("empty rread_v").is_empty());
-        assert!(p.rwrite_v(&[]).is_ok());
+fn figure1_style() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    // The paper's Figure 1, nearly verbatim.
+    let d = cluster.spawn(0, Pid(42), |h| async move {
+        let remote_addr = h.ralloc(4096, Perm::RW).await.va();
+        let lock = h.ralloc(4096, Perm::RW).await.va();
+
+        h.rlock(lock).await.result.expect("rlock");
+        let writes = vec![
+            (remote_addr, Bytes::from_static(b"hello ")),
+            (remote_addr + 6, Bytes::from_static(b"world")),
+        ];
+        assert!(h.rwrite_v(writes).await.iter().all(|c| c.result.is_ok()), "async writes");
+        h.runlock(lock).await.result.expect("runlock");
+
+        let back = h.rread(remote_addr, 11).await;
+        assert_eq!(&back.data()[..], b"hello world");
+
+        h.sleep(SimDuration::from_micros(50)).await;
+        h.rfree(remote_addr, 4096).await.result.expect("rfree");
     });
-    bc.run();
+    run_to_completion(&mut cluster, &[d]);
+}
+
+#[test]
+fn scatter_gather() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    let d = cluster.spawn(0, Pid(42), |h| async move {
+        let va = h.ralloc(16 << 10, Perm::RW).await.va();
+        // Scatter/gather write: one explicit vector, one submission.
+        let writes = (0..16u64).map(|i| (va + i * 1024, Bytes::from(vec![i as u8 + 1; 64])));
+        let done = h.rwrite_v(writes.collect()).await;
+        assert_eq!(done.len(), 16);
+        assert!(done.iter().all(|c| c.result.is_ok()), "rwrite_v");
+        // Scatter/gather read returns results in request order.
+        let reads: Vec<(u64, u32)> = (0..16u64).map(|i| (va + i * 1024, 64)).collect();
+        let data = h.rread_v(reads.clone()).await;
+        assert_eq!(data.len(), 16);
+        for (i, c) in data.iter().enumerate() {
+            assert!(c.data().iter().all(|&b| b == i as u8 + 1), "entry {i} wrong data");
+        }
+        // Single-entry and empty vectors degenerate cleanly.
+        assert_eq!(h.rread_v(reads[..1].to_vec()).await.len(), 1);
+        assert!(h.rread_v(Vec::new()).await.is_empty());
+        assert!(h.rwrite_v(Vec::new()).await.is_empty());
+    });
+    run_to_completion(&mut cluster, &[d]);
     // The vector reached the wire coalesced: the CN transport shipped
     // multi-request frames.
-    assert!(bc.cluster.cn(0).clib().batched_ops() >= 16, "vector ops did not batch");
+    assert!(cluster.cn(0).clib().batched_ops() >= 16, "vector ops did not batch");
 }
 
 #[test]
-fn blocking_runtime_rpoll_accepts_duplicate_handles() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    bc.spawn(0, 42, |p| {
-        let va = p.ralloc(4096).expect("ralloc");
-        let w = p.rwrite_async(va, b"dup");
-        let r = p.rread_async(va + 1024, 4);
-        // The same handle may appear several times in one poll; each
-        // occurrence yields that operation's result (regression: this used
-        // to panic in the runtime's ready-map bookkeeping).
-        let results = p.rpoll(&[w, r, w, w]).expect("rpoll with duplicates");
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0], results[2]);
-        assert_eq!(results[0], results[3]);
-        let back = p.rread(va, 3).expect("rread");
-        assert_eq!(&back[..], b"dup");
-    });
-    bc.run();
-}
-
-#[test]
-fn blocking_runtime_two_threads_share_a_lock() {
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    // Thread 1 allocates a counter + lock and publishes the addresses via a
-    // std channel (host-side coordination, like argv in the paper).
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<(u64, u64)>();
-    bc.spawn(0, 7, move |p| {
-        let counter = p.ralloc(4096).expect("alloc");
+fn two_threads_share_a_lock() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    // Two threads of process 7: each is its own driver, so CLib orders
+    // their ops independently. Thread 1 allocates a counter + lock and
+    // publishes the addresses through a shared cell.
+    let shared: Rc<Cell<Option<(u64, u64)>>> = Rc::default();
+    let publish = shared.clone();
+    let t1 = cluster.spawn(0, Pid(7), |h| async move {
+        let counter = h.ralloc(4096, Perm::RW).await.va();
         let lock = counter + 8;
-        addr_tx.send((counter, lock)).expect("publish");
+        publish.set(Some((counter, lock)));
         for _ in 0..5 {
-            p.rlock(lock).expect("lock");
-            let v = p.rfaa(counter, 1).expect("faa");
-            let _ = v;
-            p.runlock(lock).expect("unlock");
+            h.rlock(lock).await.result.expect("lock");
+            h.rfaa(counter, 1).await.result.expect("faa");
+            h.runlock(lock).await.result.expect("unlock");
         }
     });
-    bc.spawn(0, 7, move |p| {
-        let (counter, lock) = addr_rx.recv().expect("addresses");
+    let t2 = cluster.spawn(0, Pid(7), |h| async move {
+        let (counter, lock) = loop {
+            match shared.get() {
+                Some(addrs) => break addrs,
+                None => h.sleep(SimDuration::from_micros(1)).await,
+            }
+        };
         for _ in 0..5 {
-            p.rlock(lock).expect("lock");
-            p.rfaa(counter, 1).expect("faa");
-            p.runlock(lock).expect("unlock");
+            h.rlock(lock).await.result.expect("lock");
+            h.rfaa(counter, 1).await.result.expect("faa");
+            h.runlock(lock).await.result.expect("unlock");
         }
-        // Both threads done: counter must be exactly 10 (5 + 5), though we
-        // may read it before the other thread's last increment -- so fence
-        // and read at the end is only >= our own 5.
-        let v = p.rfaa(counter, 0).expect("read");
+        // The other thread may still be mid-loop, so only our own 5
+        // increments are guaranteed to be visible.
+        let v = match h.rfaa(counter, 0).await.result {
+            Ok(CompletionValue::Old(v)) => v,
+            other => panic!("faa returned {other:?}"),
+        };
         assert!(v >= 5, "counter lost updates: {v}");
     });
-    bc.run();
+    run_to_completion(&mut cluster, &[t1, t2]);
 }
 
 #[test]
@@ -211,25 +203,24 @@ fn pressure_triggers_transparent_migration() {
     cfg.board.hw.pt_slack = 8;
     cfg.board.hw.async_buffer_pages = 2;
     cfg.pressure_threshold = 0.5;
-    let mut bc = BlockingCluster::new(&cfg);
-    bc.spawn(0, 9, |p| {
+    let mut cluster = Cluster::build(&cfg);
+    let d = cluster.spawn(0, Pid(9), |h| async move {
         // Two ranges; touching the second drives utilization over 50%,
         // so the controller migrates the first (coldest) range away.
-        let a = p.ralloc(4 * 4096).expect("alloc a");
-        let b = p.ralloc(8 * 4096).expect("alloc b");
-        p.rwrite(a, b"range-a data").expect("write a");
+        let a = h.ralloc(4 * 4096, Perm::RW).await.va();
+        let b = h.ralloc(8 * 4096, Perm::RW).await.va();
+        h.rwrite(a, Bytes::from_static(b"range-a data")).await.result.expect("write a");
         for i in 0..8u64 {
-            p.rwrite(b + i * 4096, &[i as u8; 64]).expect("write b");
+            h.rwrite(b + i * 4096, Bytes::from(vec![i as u8; 64])).await.result.expect("write b");
         }
         // Give the migration time to run, then access the moved range:
         // the runtime re-routes transparently after the Moved refusal.
-        p.compute(SimDuration::from_millis(50));
-        let back = p.rread(a, 12).expect("read after migration");
-        assert_eq!(&back[..], b"range-a data");
+        h.sleep(SimDuration::from_millis(50)).await;
+        let back = h.rread(a, 12).await;
+        assert_eq!(&back.data()[..], b"range-a data");
     });
-    bc.run();
-    let ctrl = bc.cluster.sim.actor::<clio_core::Controller>(bc.cluster.controller_id());
-    let (started, completed) = ctrl.migration_stats();
+    run_to_completion(&mut cluster, &[d]);
+    let (started, completed) = cluster.controller().migration_stats();
     assert!(started >= 1, "no migration started");
     assert_eq!(started, completed, "migrations must complete");
 }
@@ -270,7 +261,7 @@ fn hundred_concurrent_processes() {
     for i in 0..100u64 {
         cluster.add_driver(
             (i % 2) as usize,
-            clio_proto::Pid(1000 + i),
+            Pid(1000 + i),
             Box::new(ClosedLoop { va: 0, remaining: 20, done: false }),
         );
     }
@@ -279,6 +270,42 @@ fn hundred_concurrent_processes() {
     for i in 0..100u64 {
         let d: &ClosedLoop = cluster.cn((i % 2) as usize).driver((i / 2) as usize);
         assert!(d.done, "process {i} did not finish");
+    }
+}
+
+/// With two MNs, the order in which `Transport::kick_all` re-pumps the
+/// per-board queues decides the run's digest, so it must not depend on a
+/// `HashMap`'s per-instance hash seed. Two concurrent vectors of 64 KiB
+/// reads, one per board, overflow the CN's incast window (shared by both
+/// boards), so every completion kicks two non-empty queues that race for
+/// the bytes it freed; ten builds in one process must agree.
+#[test]
+fn two_mn_concurrent_traffic_is_digest_stable() {
+    const READ: u64 = 64 << 10;
+    let run = || {
+        let mut cfg = ClusterConfig::test_small();
+        cfg.mns = 2;
+        let span = cfg.mn_slice_span;
+        let mut cluster = Cluster::build(&cfg);
+        let d = cluster.spawn(0, Pid(3), move |h| async move {
+            let a = h.ralloc(16 * READ, Perm::RW).await.va();
+            let b = h.ralloc(16 * READ, Perm::RW).await.va();
+            assert_ne!(a / span, b / span, "ranges must land on different MNs");
+            for base in [a, b] {
+                let h2 = h.clone();
+                h.spawn(async move {
+                    let reads = (0..16).map(|i| (base + i * READ, READ as u32)).collect();
+                    let done = h2.rread_v(reads).await;
+                    assert!(done.iter().all(|c| c.data().len() == READ as usize));
+                });
+            }
+        });
+        run_to_completion(&mut cluster, &[d]);
+        (cluster.sim.digest(), cluster.sim.events_dispatched(), cluster.now())
+    };
+    let first = run();
+    for _ in 0..9 {
+        assert_eq!(run(), first, "2-MN schedule must not depend on hash seeds");
     }
 }
 
@@ -291,7 +318,7 @@ fn deterministic_across_runs() {
         for i in 0..10u64 {
             cluster.add_driver(
                 0,
-                clio_proto::Pid(i),
+                Pid(i),
                 Box::new(ClosedLoop { va: 0, remaining: 5, done: false }),
             );
         }
@@ -300,67 +327,4 @@ fn deterministic_across_runs() {
         (cluster.sim.digest(), cluster.sim.events_dispatched(), cluster.now())
     };
     assert_eq!(digest(1), digest(1), "same seed must replay identically");
-}
-
-#[test]
-fn rpoll_with_foreign_handle_fails_fast() {
-    // A handle leaked from one process to another must be rejected with
-    // `InvalidHandle` immediately — not stall the polling thread forever
-    // waiting on a seq that will never complete in its bridge.
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    let (handle_tx, handle_rx) = std::sync::mpsc::channel();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    bc.spawn(0, 1, move |p| {
-        let va = p.ralloc(4096).expect("ralloc");
-        let h = p.rwrite_async(va, b"mine");
-        handle_tx.send(h).expect("handle channel");
-        // Keep our own side honest: polling our own handle still works.
-        done_rx.recv().expect("peer finished");
-        assert_eq!(p.rpoll(&[h]).expect("own handle polls fine").len(), 1);
-    });
-    bc.spawn(0, 2, move |p| {
-        let foreign = handle_rx.recv().expect("handle channel");
-        let err = p.rpoll(&[foreign]).expect_err("foreign handle must be rejected");
-        assert_eq!(err, clio_cn::ClioError::InvalidHandle);
-        // A mix of valid and foreign handles is rejected as a whole.
-        let va = p.ralloc(4096).expect("ralloc");
-        let mine = p.rwrite_async(va, b"ok");
-        let err = p.rpoll(&[mine, foreign]).expect_err("mixed poll must be rejected");
-        assert_eq!(err, clio_cn::ClioError::InvalidHandle);
-        assert_eq!(p.rpoll(&[mine]).expect("own handle").len(), 1);
-        done_tx.send(()).expect("done channel");
-    });
-    bc.run();
-}
-
-#[test]
-fn unpolled_async_results_do_not_accumulate() {
-    // Regression for the async-handle leak: a process that issues thousands
-    // of async ops and never polls them must not retain a result per op for
-    // its whole life. `rrelease` (and process exit) drop abandoned results,
-    // so the retained backlog is bounded by the gap between releases.
-    const BATCH: usize = 256;
-    const BATCHES: usize = 16;
-    let mut bc = BlockingCluster::new(&ClusterConfig::test_small());
-    bc.spawn(0, 9, |p| {
-        let va = p.ralloc(1 << 20).expect("ralloc");
-        let mut stale = None;
-        for _ in 0..BATCHES {
-            for i in 0..BATCH as u64 {
-                let h = p.rwrite_async(va + (i % 64) * 4096, b"fire-and-forget");
-                stale.get_or_insert(h);
-            }
-            p.rrelease().expect("rrelease");
-        }
-        // A handle abandoned before a release is gone, not silently pending.
-        let err = p.rpoll(&[stale.unwrap()]).expect_err("released handle must be invalid");
-        assert_eq!(err, clio_cn::ClioError::InvalidHandle);
-    });
-    bc.run();
-    let issued = BATCH * BATCHES;
-    let high_water = bc.async_backlog_high_water(0);
-    assert!(
-        high_water <= BATCH + 2,
-        "async results leaked: high water {high_water} for {issued} never-polled ops"
-    );
 }

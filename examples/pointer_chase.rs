@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --release --example pointer_chase`
 
+use bytes::Bytes;
 use clio_apps::radix::{build_tree, encode_chase, search_digits, PointerChase, NODE_BYTES};
-use clio_core::runtime::BlockingCluster;
-use clio_core::ClusterConfig;
+use clio_core::{Cluster, ClusterConfig};
+use clio_proto::{Perm, Pid};
 
 const ENTRIES: u64 = 4000;
 const FANOUT: u64 = 16;
@@ -16,19 +17,26 @@ const OFFLOAD_ID: u16 = 2;
 fn main() {
     let mut cfg = ClusterConfig::test_small();
     cfg.board.hw.phys_mem_bytes = 64 << 20;
-    let mut cluster = BlockingCluster::new(&cfg);
+    let mut cluster = Cluster::build(&cfg);
     // The offload shares the caller's address space, so the tree the client
     // builds with plain rwrites is directly visible to it.
-    cluster.cluster.install_offload_shared(0, OFFLOAD_ID, Box::new(PointerChase::new()));
+    cluster.install_offload_shared(0, OFFLOAD_ID, Box::new(PointerChase::new()));
+    let mn = cluster.mn_macs()[0];
 
-    cluster.spawn(0, 7, |p| {
+    cluster.spawn(0, Pid(7), move |h| async move {
+        // One chase step: follow `head`'s child for `digit`; 0 means null.
+        let chase = |head: u64, digit: u64| {
+            let step = h.roffload(mn, OFFLOAD_ID, 0, encode_chase(head, digit));
+            async move { u64::from_le_bytes(step.await.data()[..8].try_into().expect("8 B")) }
+        };
+
         // Build the tree in remote memory with ordinary writes.
         let nodes = ENTRIES * 2 + FANOUT;
-        let base = p.ralloc(nodes * NODE_BYTES + 4096).expect("ralloc");
+        let base = h.ralloc(nodes * NODE_BYTES + 4096, Perm::RW).await.va();
         let (writes, heads, levels) = build_tree(base, ENTRIES, FANOUT);
         println!("built a {levels}-level radix tree: {} nodes", writes.len());
-        for (va, bytes) in &writes {
-            p.rwrite(*va, bytes).expect("write node");
+        for (va, bytes) in writes {
+            h.rwrite(va, Bytes::from(bytes)).await.result.expect("write node");
         }
 
         // Search: one offload call per level.
@@ -36,9 +44,7 @@ fn main() {
             let digits = search_digits(key, FANOUT, levels);
             let mut head = heads[0];
             for d in digits {
-                let reply =
-                    p.offload_call(0, OFFLOAD_ID, 0, &encode_chase(head, d)).expect("chase");
-                head = u64::from_le_bytes(reply[..8].try_into().expect("8 B"));
+                head = chase(head, d).await;
                 assert_ne!(head, 0, "key {key} must exist");
             }
             let found = head - 1; // leaves store key + 1
@@ -52,8 +58,7 @@ fn main() {
         let mut head = heads[0];
         let mut found = true;
         for d in digits {
-            let reply = p.offload_call(0, OFFLOAD_ID, 0, &encode_chase(head, d)).expect("chase");
-            head = u64::from_le_bytes(reply[..8].try_into().expect("8 B"));
+            head = chase(head, d).await;
             if head == 0 {
                 found = false;
                 break;
@@ -63,6 +68,8 @@ fn main() {
         println!("search({}) -> not found (as expected)", ENTRIES + 5);
     });
 
-    cluster.run();
-    println!("done at {}", cluster.cluster.now());
+    cluster.start();
+    cluster.run_until_idle();
+    assert_eq!(cluster.registry().gauge("cn0.runtime.tasks"), Some(0), "a client task hung");
+    println!("done at {}", cluster.now());
 }

@@ -2,37 +2,41 @@
 //! (CLib → transport → fabric → CBoard → offloads → controller) in one
 //! process, exercised the way a downstream user would.
 
+use bytes::Bytes;
 use clio::apps::kv::{partition_of, ClioKv, KvRequest, KvResponse};
 use clio::cn::CompletionValue;
 use clio::mn::CBoardConfig;
-use clio::proto::{Pid, Status};
+use clio::proto::{Perm, Pid, Status};
 use clio::sim::SimDuration;
 use clio::system::node::{PokeDriver, POKE_TAG};
-use clio::system::runtime::BlockingCluster;
-use clio::system::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
+use clio::system::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig, ExecDriver};
 
+/// The Figure 1 API end to end: a lock-protected vector write (the paper's
+/// "two async writes, then poll"), a fence, read-back, and `rfree`.
 #[test]
 fn blocking_api_roundtrip_with_locks_and_async() {
-    let mut cluster = BlockingCluster::new(&ClusterConfig::test_small());
-    cluster.spawn(0, 1, |p| {
-        let buf = p.ralloc(16 << 10).expect("ralloc");
-        let lock = p.ralloc(8).expect("lock page");
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    let d = cluster.spawn(0, Pid(1), |h| async move {
+        let buf = h.ralloc(16 << 10, Perm::RW).await.va();
+        let lock = h.ralloc(8, Perm::RW).await.va();
 
-        p.rlock(lock).expect("rlock");
-        let handles: Vec<_> =
-            (0..4).map(|i| p.rwrite_async(buf + i * 4096, &[i as u8 + 1; 128])).collect();
-        p.runlock(lock).expect("runlock");
-        p.rpoll(&handles).expect("rpoll");
-        p.rfence().expect("rfence");
+        h.rlock(lock).await.result.expect("rlock");
+        let writes = (0..4).map(|i| (buf + i * 4096, Bytes::from(vec![i as u8 + 1; 128])));
+        let done = h.rwrite_v(writes.collect()).await;
+        assert!(done.iter().all(|c| c.result.is_ok()), "async writes");
+        h.runlock(lock).await.result.expect("runlock");
+        h.rfence().await.result.expect("rfence");
 
         for i in 0..4u64 {
-            let back = p.rread(buf + i * 4096, 128).expect("rread");
-            assert!(back.iter().all(|&b| b == i as u8 + 1));
+            let back = h.rread(buf + i * 4096, 128).await;
+            assert!(back.data().iter().all(|&b| b == i as u8 + 1));
         }
-        p.rfree(buf, 16 << 10).expect("rfree");
-        assert!(p.rread(buf, 8).is_err(), "freed memory must not read");
+        h.rfree(buf, 16 << 10).await.result.expect("rfree");
+        assert!(h.rread(buf, 8).await.result.is_err(), "freed memory must not read");
     });
-    cluster.run();
+    cluster.start();
+    cluster.run_until_idle();
+    assert_eq!(cluster.cn(0).driver::<ExecDriver>(d).live_tasks(), 0, "client task hung");
 }
 
 #[test]
@@ -109,25 +113,22 @@ fn kv_store_across_partitioned_mns() {
 fn lossy_network_preserves_correctness_end_to_end() {
     let mut cfg = ClusterConfig::test_small();
     cfg.board = CBoardConfig::test_small();
-    let mut cluster = BlockingCluster::new(&cfg);
-    // 10% loss + 5% corruption toward the MN after setup.
-    let mn_mac = cluster.cluster.mn_macs()[0];
-    let (tx, rx) = std::sync::mpsc::channel::<u64>();
-    cluster.spawn(0, 3, move |p| {
-        let buf = p.ralloc(64 << 10).expect("ralloc");
-        tx.send(buf).expect("publish");
+    let mut cluster = Cluster::build(&cfg);
+    let mn_mac = cluster.mn_macs()[0];
+    let d = cluster.spawn(0, Pid(3), |h| async move {
+        let buf = h.ralloc(64 << 10, Perm::RW).await.va();
         for i in 0..40u64 {
-            p.rwrite(buf + i * 512, &[i as u8; 512]).expect("write survives loss");
+            let data = Bytes::from(vec![i as u8; 512]);
+            h.rwrite(buf + i * 512, data).await.result.expect("write survives loss");
         }
         for i in 0..40u64 {
-            let b = p.rread(buf + i * 512, 512).expect("read survives loss");
-            assert!(b.iter().all(|&x| x == i as u8), "data corrupted at {i}");
+            let b = h.rread(buf + i * 512, 512).await;
+            assert!(b.data().iter().all(|&x| x == i as u8), "data corrupted at {i}");
         }
     });
-    let _ = rx;
-    // Inject faults once the cluster exists (before running).
-    cluster.cluster.net.set_faults(
-        &mut cluster.cluster.sim,
+    // 10% loss + 5% corruption toward the MN, from the first op on.
+    cluster.net.set_faults(
+        &mut cluster.sim,
         mn_mac,
         clio::net::FaultInjector {
             loss_prob: 0.10,
@@ -136,8 +137,10 @@ fn lossy_network_preserves_correctness_end_to_end() {
             ..clio::net::FaultInjector::none()
         },
     );
-    cluster.run();
-    let retries = cluster.cn_of_bridge(0).clib().retry_count();
+    cluster.start();
+    cluster.run_until_idle();
+    assert_eq!(cluster.cn(0).driver::<ExecDriver>(d).live_tasks(), 0, "client task hung");
+    let retries = cluster.cn(0).clib().retry_count();
     assert!(retries > 0, "faults should have caused retries (got {retries})");
 }
 
