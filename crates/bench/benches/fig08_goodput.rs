@@ -12,7 +12,7 @@
 //! and trim per-frame Ethernet overhead; the `-SG` variant refills its
 //! window through the explicit `read_v`/`write_v` scatter/gather API.
 
-use clio_bench::drivers::{AccessMix, MemDriver};
+use clio_bench::load::{AccessMix, MemLoad};
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
@@ -47,22 +47,19 @@ fn goodput(
             };
         }
     });
-    for t in 0..threads {
-        let d = MemDriver::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096, false, 20 + t);
-        let d = if scatter_gather { d.with_scatter_gather() } else { d };
-        cluster.add_driver(0, Pid(10 + t), Box::new(d));
-    }
+    let recorders: Vec<_> = (0..threads)
+        .map(|t| {
+            let l = MemLoad::new(SIZE, mix, OPS_PER_THREAD, window, 8, 4096, false, 20 + t);
+            let l = if scatter_gather { l.with_scatter_gather() } else { l };
+            l.spawn(&mut cluster, 0, Pid(10 + t))
+        })
+        .collect();
     cluster.start();
     cluster.run_until_idle();
     // Aggregate goodput: total measured payload over the whole run (the
     // short alloc/warm-up prologue is negligible against the run length).
-    let mut bytes = 0u64;
-    let mut ops = 0u64;
-    for t in 0..threads as usize {
-        let d: &MemDriver = cluster.cn(0).driver(t);
-        bytes += d.recorder.ops() * SIZE as u64;
-        ops += d.recorder.ops();
-    }
+    let ops: u64 = recorders.iter().map(|r| r.borrow().ops()).sum();
+    let bytes = ops * SIZE as u64;
     let elapsed = cluster.now().as_secs_f64();
     if elapsed == 0.0 {
         return Run { goodput_gbps: 0.0, resp_frames_per_op: 0.0 };

@@ -8,7 +8,7 @@
 mod fig10;
 
 use clio_baselines::rdma::Verb;
-use clio_bench::drivers::AccessMix;
+use clio_bench::load::AccessMix;
 use clio_bench::FigureReport;
 use clio_sim::stats::Series;
 

@@ -6,14 +6,15 @@
 
 use clio_apps::kv::ClioKv;
 use clio_apps::ycsb::{YcsbGenerator, YcsbMix};
-use clio_bench::drivers::KvDriver;
+use clio_bench::load::KvLoad;
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
+use clio_core::ExecDriver;
 use clio_proto::Pid;
 use clio_sim::stats::Series;
 
-const OPS_PER_DRIVER: u64 = 800;
-const DRIVERS_PER_CN: u64 = 8;
+const OPS_PER_CLIENT: u64 = 800;
+const CLIENTS_PER_CN: u64 = 8;
 const CNS: usize = 2;
 
 fn run(mix: YcsbMix, mns: usize) -> f64 {
@@ -21,30 +22,27 @@ fn run(mix: YcsbMix, mns: usize) -> f64 {
     for (i, _) in (0..mns).enumerate() {
         cluster.install_offload(i, 1, Pid(9_000 + i as u64), Box::new(ClioKv::new(4096)));
     }
+    let mut recorders = Vec::new();
     for cn in 0..CNS {
-        for t in 0..DRIVERS_PER_CN {
+        for t in 0..CLIENTS_PER_CN {
             let seed = (cn as u64) * 100 + t;
             // Smaller values than the paper's 1 KB keep the bench quick but
             // preserve the scaling shape.
             let gen = YcsbGenerator::new(mix, 10_000, 256, seed);
-            cluster.add_driver(
-                cn,
-                Pid(100 + seed),
-                Box::new(KvDriver::new(gen, 60, OPS_PER_DRIVER, 4, 1)),
-            );
+            let load = KvLoad::new(gen, 60, OPS_PER_CLIENT, 4, 1);
+            recorders.push(load.spawn(&mut cluster, cn, Pid(100 + seed)));
         }
     }
     cluster.start();
     cluster.run_until_idle();
-    let mut ops = 0u64;
     let mut end = 0f64;
     for cn in 0..CNS {
-        for t in 0..DRIVERS_PER_CN as usize {
-            let d: &KvDriver = cluster.cn(cn).driver(t);
-            assert!(d.is_done(), "driver did not finish");
-            ops += d.recorder.ops();
+        for t in 0..CLIENTS_PER_CN as usize {
+            let live = cluster.cn(cn).driver::<ExecDriver>(t).live_tasks();
+            assert_eq!(live, 0, "client did not finish");
         }
     }
+    let ops: u64 = recorders.iter().map(|r| r.borrow().ops()).sum();
     end = end.max(cluster.now().as_secs_f64());
     ops as f64 / end / 1e6
 }

@@ -4,157 +4,92 @@
 //! Zipf object popularity. The array-based version design makes reads of
 //! any version cost the same, and latency stays flat as CNs are added.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use bytes::Bytes;
 use clio_apps::mv::{encode_append, encode_read, ClioMv, MvOpcode};
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
 use clio_proto::Pid;
 use clio_sim::dist::Zipf;
 use clio_sim::stats::Series;
-use clio_sim::{SimDuration, SimRng, SimTime};
+use clio_sim::{SimDuration, SimRng};
 
 const OPS_PER_CN: u64 = 400;
 const OBJECTS: u64 = 48;
 
-enum Phase {
-    Creating(u64),
-    Seeding(u64),
-    WaitingToStart,
-    Running,
-}
-
-struct MvClient {
-    creator: bool,
-    phase: Phase,
-    ops: u64,
-    measured: u64,
-    zipf: Option<Zipf>,
-    rng: SimRng,
+/// Measured latency totals of one CN's client.
+#[derive(Default)]
+struct MvStats {
     read_total: SimDuration,
     reads: u64,
     write_total: SimDuration,
     writes: u64,
-    last_was_read: bool,
-    issued: SimTime,
-}
-
-impl MvClient {
-    fn next(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-        let mn = api.mn_macs()[0];
-        // Object ids are deterministic (0..OBJECTS): one creator assigns
-        // them sequentially.
-        let id = match &self.zipf {
-            Some(z) => z.sample(&mut self.rng) as u64,
-            None => self.rng.range_u64(0, OBJECTS),
-        };
-        self.issued = api.now();
-        if self.rng.chance(0.5) {
-            self.last_was_read = true;
-            api.offload(mn, 3, MvOpcode::Read as u16, encode_read(id, u64::MAX));
-        } else {
-            self.last_was_read = false;
-            let val = [self.measured as u8; 16];
-            api.offload(mn, 3, MvOpcode::Append as u16, encode_append(id, &val));
-        }
-    }
-}
-
-impl clio_core::ClientDriver for MvClient {
-    fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-        if self.creator {
-            let mn = api.mn_macs()[0];
-            api.offload(mn, 3, MvOpcode::Create as u16, bytes::Bytes::new());
-        } else {
-            // Let the creator finish setup first.
-            api.wake_in(SimDuration::from_millis(20), 0);
-        }
-    }
-
-    fn on_wake(&mut self, api: &mut clio_core::ClientApi<'_, '_>, _tag: u64) {
-        self.phase = Phase::Running;
-        self.next(api);
-    }
-
-    fn on_completion(
-        &mut self,
-        api: &mut clio_core::ClientApi<'_, '_>,
-        c: clio_core::AppCompletion,
-    ) {
-        let mn = api.mn_macs()[0];
-        match self.phase {
-            Phase::Creating(n) => {
-                assert!(c.result.is_ok(), "create failed: {:?}", c.result);
-                if n + 1 < OBJECTS {
-                    self.phase = Phase::Creating(n + 1);
-                    api.offload(mn, 3, MvOpcode::Create as u16, bytes::Bytes::new());
-                } else {
-                    self.phase = Phase::Seeding(0);
-                    api.offload(mn, 3, MvOpcode::Append as u16, encode_append(0, &[1; 16]));
-                }
-            }
-            Phase::Seeding(n) => {
-                assert!(c.result.is_ok(), "seed failed: {:?}", c.result);
-                if n + 1 < OBJECTS {
-                    self.phase = Phase::Seeding(n + 1);
-                    api.offload(mn, 3, MvOpcode::Append as u16, encode_append(n + 1, &[1; 16]));
-                } else {
-                    self.phase = Phase::Running;
-                    self.next(api);
-                }
-            }
-            Phase::WaitingToStart => unreachable!("woken via on_wake"),
-            Phase::Running => {
-                if c.result.is_ok() {
-                    let lat = api.now().since(self.issued);
-                    if self.last_was_read {
-                        self.read_total += lat;
-                        self.reads += 1;
-                    } else {
-                        self.write_total += lat;
-                        self.writes += 1;
-                    }
-                }
-                self.measured += 1;
-                if self.measured < self.ops {
-                    self.next(api);
-                }
-            }
-        }
-    }
 }
 
 fn run(cns: usize, zipf: bool) -> (f64, f64) {
     let mut cluster = bench_cluster(cns, 1, 190 + cns as u64);
     cluster.install_offload(0, 3, Pid(9200), Box::new(ClioMv::new(4096, 16)));
-    for cn in 0..cns {
-        cluster.add_driver(
-            cn,
-            Pid(400 + cn as u64),
-            Box::new(MvClient {
-                creator: cn == 0,
-                phase: if cn == 0 { Phase::Creating(0) } else { Phase::WaitingToStart },
-                ops: OPS_PER_CN,
-                measured: 0,
-                zipf: zipf.then(|| Zipf::new(OBJECTS as usize, 0.99)),
-                rng: SimRng::new(60 + cn as u64),
-                read_total: SimDuration::ZERO,
-                reads: 0,
-                write_total: SimDuration::ZERO,
-                writes: 0,
-                last_was_read: false,
-                issued: SimTime::ZERO,
-            }),
-        );
+    let mn = cluster.mn_macs()[0];
+    let stats: Vec<Rc<RefCell<MvStats>>> = (0..cns).map(|_| Rc::default()).collect();
+    for (cn, out) in stats.iter().enumerate() {
+        let out = out.clone();
+        cluster.spawn(cn, Pid(400 + cn as u64), move |h| async move {
+            let call = |opcode: MvOpcode, arg: Bytes| h.roffload(mn, 3, opcode as u16, arg);
+            if cn == 0 {
+                // Object ids are deterministic (0..OBJECTS): one creator
+                // assigns them sequentially, then seeds every object.
+                for _ in 0..OBJECTS {
+                    let c = call(MvOpcode::Create, Bytes::new()).await;
+                    assert!(c.result.is_ok(), "create failed: {:?}", c.result);
+                }
+                for id in 0..OBJECTS {
+                    let c = call(MvOpcode::Append, encode_append(id, &[1; 16])).await;
+                    assert!(c.result.is_ok(), "seed failed: {:?}", c.result);
+                }
+            } else {
+                // Let the creator finish setup first.
+                h.sleep(SimDuration::from_millis(20)).await;
+            }
+            let zipf = zipf.then(|| Zipf::new(OBJECTS as usize, 0.99));
+            let mut rng = SimRng::new(60 + cn as u64);
+            for measured in 0..OPS_PER_CN {
+                let id = match &zipf {
+                    Some(z) => z.sample(&mut rng) as u64,
+                    None => rng.range_u64(0, OBJECTS),
+                };
+                let issued = h.now();
+                let read = rng.chance(0.5);
+                let c = if read {
+                    call(MvOpcode::Read, encode_read(id, u64::MAX)).await
+                } else {
+                    call(MvOpcode::Append, encode_append(id, &[measured as u8; 16])).await
+                };
+                if c.result.is_ok() {
+                    let lat = h.now().since(issued);
+                    let mut s = out.borrow_mut();
+                    if read {
+                        s.read_total += lat;
+                        s.reads += 1;
+                    } else {
+                        s.write_total += lat;
+                        s.writes += 1;
+                    }
+                }
+            }
+        });
     }
     cluster.start();
     cluster.run_until_idle();
     let (mut rt, mut rn, mut wt, mut wn) = (0f64, 0u64, 0f64, 0u64);
-    for cn in 0..cns {
-        let d: &MvClient = cluster.cn(cn).driver(0);
-        assert!(d.reads + d.writes > 0, "cn {cn} measured nothing");
-        rt += d.read_total.as_nanos() as f64;
-        rn += d.reads;
-        wt += d.write_total.as_nanos() as f64;
-        wn += d.writes;
+    for (cn, s) in stats.iter().enumerate() {
+        let s = s.borrow();
+        assert!(s.reads + s.writes > 0, "cn {cn} measured nothing");
+        rt += s.read_total.as_nanos() as f64;
+        rn += s.reads;
+        wt += s.write_total.as_nanos() as f64;
+        wn += s.writes;
     }
     (rt / rn.max(1) as f64 / 1000.0, wt / wn.max(1) as f64 / 1000.0)
 }

@@ -7,14 +7,20 @@
 //! selectivity the CPU wins; at low selectivity Clio's reduced data
 //! movement wins — the paper's crossover.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
+use bytes::Bytes;
 use clio_apps::dataframe::{
     avg_local, encode_avg, encode_select, histogram, select_local, synth_table, ClioDf, DfOpcode,
     ROW_BYTES,
 };
 use clio_bench::setup::bench_cluster;
 use clio_bench::FigureReport;
+use clio_core::AppCompletion;
+use clio_proto::{Perm, Pid};
 use clio_sim::stats::Series;
-use clio_sim::{Bandwidth, SimDuration, SimRng, SimTime};
+use clio_sim::{Bandwidth, SimRng, SimTime};
 
 const RATIOS: &[u32] = &[80, 40, 20, 10, 5, 2];
 const ROWS: u64 = 200_000; // 1.6 MB table
@@ -26,115 +32,45 @@ const CPU_SCAN: u64 = 4; // GB/s
 /// CN CPU histogram rate over selected rows.
 const CPU_HIST: u64 = 6; // GB/s
 
-struct DfClient {
-    ratio: u32,
-    in_va: u64,
-    out_va: u64,
-    state: u8,
-    queries: u64,
-    done: u64,
-    matched: u64,
-    started: SimTime,
-    total: SimDuration,
-    table: Vec<u8>,
-}
-
-impl clio_core::ClientDriver for DfClient {
-    fn on_start(&mut self, api: &mut clio_core::ClientApi<'_, '_>) {
-        api.alloc(2 * ROWS * ROW_BYTES + (4 << 20), clio_proto::Perm::RW);
+/// Panics with `step` if `c` failed; passes it through otherwise.
+fn check(step: &str, c: AppCompletion) -> AppCompletion {
+    if let Err(e) = &c.result {
+        panic!("dataframe {step} failed at {}: {e}", c.completed_at);
     }
-    fn on_completion(
-        &mut self,
-        api: &mut clio_core::ClientApi<'_, '_>,
-        c: clio_core::AppCompletion,
-    ) {
-        if let Err(e) = &c.result {
-            panic!("dataframe step failed in state {} at {}: {e}", self.state, c.completed_at);
-        }
-        let mn = api.mn_macs()[0];
-        match self.state {
-            0 => {
-                let base = c.va();
-                self.in_va = base;
-                self.out_va = base + ROWS * ROW_BYTES;
-                self.state = 1;
-                api.write(self.in_va, bytes::Bytes::from(self.table.clone()));
-            }
-            1 => {
-                // Table uploaded (setup). Start the measured queries.
-                self.state = 2;
-                self.started = api.now();
-                api.offload(
-                    mn,
-                    4,
-                    DfOpcode::Select as u16,
-                    encode_select(self.in_va, ROWS, self.ratio, self.out_va),
-                );
-            }
-            2 => {
-                // Select done -> aggregate at the MN.
-                self.matched = u64::from_le_bytes(c.data()[..8].try_into().expect("8 B"));
-                self.state = 3;
-                api.offload(mn, 4, DfOpcode::Avg as u16, encode_avg(self.out_va, self.matched));
-            }
-            3 => {
-                // Aggregate done -> fetch selected rows for the histogram.
-                self.state = 4;
-                api.read(self.out_va, (self.matched * ROW_BYTES) as u32);
-            }
-            4 => {
-                // CN-side histogram (charged as compute time).
-                let rows = c.data().clone();
-                let _ = histogram(&rows);
-                self.state = 5;
-                let t = Bandwidth::from_gigabytes_per_sec(CPU_HIST)
-                    .transfer_time(self.matched * ROW_BYTES);
-                api.wake_in(t, 0);
-            }
-            _ => unreachable!(),
-        }
-    }
-    fn on_wake(&mut self, api: &mut clio_core::ClientApi<'_, '_>, _tag: u64) {
-        self.done += 1;
-        if self.done >= self.queries {
-            self.total = api.now().since(self.started);
-            return;
-        }
-        let mn = api.mn_macs()[0];
-        self.state = 2;
-        api.offload(
-            mn,
-            4,
-            DfOpcode::Select as u16,
-            encode_select(self.in_va, ROWS, self.ratio, self.out_va),
-        );
-    }
+    c
 }
 
 fn clio_runtime(ratio: u32) -> f64 {
     let mut cluster = bench_cluster(1, 1, 200 + ratio as u64);
     cluster.install_offload_shared(0, 4, Box::new(ClioDf::new()));
-    cluster.add_driver(
-        0,
-        clio_proto::Pid(500),
-        Box::new(DfClient {
-            ratio,
-            in_va: 0,
-            out_va: 0,
-            state: 0,
-            queries: QUERIES,
-            done: 0,
-            matched: 0,
-            started: SimTime::ZERO,
-            total: SimDuration::ZERO,
-            table: synth_table(ROWS, 42),
-        }),
-    );
+    let mn = cluster.mn_macs()[0];
+    let table = synth_table(ROWS, 42);
+    let runtime = Rc::new(Cell::new(None));
+    let out = runtime.clone();
+    cluster.spawn(0, Pid(500), move |h| async move {
+        let in_va = check("alloc", h.ralloc(2 * ROWS * ROW_BYTES + (4 << 20), Perm::RW).await).va();
+        let out_va = in_va + ROWS * ROW_BYTES;
+        check("upload", h.rwrite(in_va, Bytes::from(table)).await);
+        // Table uploaded (setup). Run the measured queries.
+        let started = h.now();
+        for _ in 0..QUERIES {
+            let select = encode_select(in_va, ROWS, ratio, out_va);
+            let c = check("select", h.roffload(mn, 4, DfOpcode::Select as u16, select).await);
+            let matched = u64::from_le_bytes(c.data()[..8].try_into().expect("8 B"));
+            // Aggregate at the MN, then fetch the selected rows.
+            let avg = encode_avg(out_va, matched);
+            check("avg", h.roffload(mn, 4, DfOpcode::Avg as u16, avg).await);
+            let rows = check("fetch", h.rread(out_va, (matched * ROW_BYTES) as u32).await);
+            // CN-side histogram (charged as compute time).
+            let _ = histogram(rows.data());
+            let t = Bandwidth::from_gigabytes_per_sec(CPU_HIST).transfer_time(matched * ROW_BYTES);
+            h.sleep(t).await;
+        }
+        runtime.set(Some(h.now().since(started)));
+    });
     cluster.start();
     cluster.run_until_idle();
-    let d: &DfClient = cluster.cn(0).driver(0);
-    assert_eq!(d.done, QUERIES, "queries unfinished");
-    d.total.as_secs_f64()
+    out.get().expect("queries unfinished").as_secs_f64()
 }
 
 /// RDMA baseline: fetch the whole table per query, compute at the CN.

@@ -15,10 +15,11 @@
 //! `--smoke` runs a reduced sweep (CI regression gate): it still asserts
 //! the acceptance bar — ≥ 4× fewer MN→CN frames at default knobs.
 
-use clio_bench::drivers::BurstDriver;
+use clio_bench::load::BurstLoad;
 use clio_bench::setup::bench_cluster_tuned;
 use clio_bench::FigureReport;
 use clio_cn::CLibConfig;
+use clio_core::ExecDriver;
 use clio_proto::Pid;
 use clio_sim::stats::Series;
 
@@ -49,16 +50,15 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Poin
             board.egress_doorbell_delay = Some(clio_sim::SimDuration::ZERO);
         }
     });
-    let driver = BurstDriver::new(size, BURST, bursts, SPAN_PAGES, 4096);
-    let driver = if scatter_gather { driver.with_scatter_gather() } else { driver };
-    cluster.add_driver(0, Pid(10), Box::new(driver));
+    let load = BurstLoad::new(size, BURST, bursts, SPAN_PAGES, 4096);
+    let load = if scatter_gather { load.with_scatter_gather() } else { load };
+    let rec = load.spawn(&mut cluster, 0, Pid(10));
     cluster.start();
     cluster.run_until_idle();
     let stats = cluster.mn(0).stats();
-    let d: &BurstDriver = cluster.cn(0).driver(0);
-    assert!(d.is_done(), "driver did not finish");
+    assert_eq!(cluster.cn(0).driver::<ExecDriver>(0).live_tasks(), 0, "load did not finish");
     let ops = BURST * bursts;
-    assert_eq!(d.recorder.ops(), ops, "all ops must complete");
+    assert_eq!(rec.borrow().ops(), ops, "all ops must complete");
     // Subtract the prologue (1 alloc + span warm-up writes, one frame each
     // direction: they run synchronously) so frames/op reflects the
     // measured bursts only.

@@ -5,13 +5,14 @@
 //! so `cargo bench --workspace` reprints the whole evaluation; the
 //! `figures` binary runs them selectively. Shared machinery lives here:
 //!
-//! * [`drivers`] — reusable event-driven client drivers (closed-loop and
-//!   windowed load generators, KV/YCSB clients),
+//! * [`load`] — reusable load generators, each an async client program on
+//!   `Cluster::spawn` (closed-loop and windowed memory loads, bursts,
+//!   KV/YCSB clients),
 //! * [`setup`] — cluster construction shortcuts and direct-install helpers
 //!   (PTE aliasing for the Figure 5 stress test),
 //! * [`report`] — paper-style table printing.
 
-pub mod drivers;
+pub mod load;
 pub mod report;
 pub mod setup;
 

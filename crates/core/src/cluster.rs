@@ -9,7 +9,8 @@ use clio_trace::metrics::Registry;
 use clio_trace::{OpTrace, Tracer, Track};
 
 use crate::controller::Controller;
-use crate::node::{ClientDriver, ComputeNode, StartClients};
+use crate::exec::{ExecDriver, ProcHandle};
+use crate::node::{ComputeNode, StartClients};
 
 /// Deployment shape and component configurations.
 #[derive(Debug, Clone)]
@@ -38,7 +39,7 @@ pub struct ClusterConfig {
     /// entirely — op headers and wire timing are identical either way, so
     /// a traced run's `Simulation::digest` matches the untraced one.
     pub trace_sample_every: Option<u64>,
-    /// Per-process in-flight submission budget for executor drivers: once
+    /// Per-process in-flight submission budget for client executors: once
     /// this many ops are outstanding, further submissions park (surfaced as
     /// `cn<i>.runtime.parked`) until window credit frees.
     pub runtime_inflight_budget: usize,
@@ -235,36 +236,25 @@ impl Cluster {
         &self.mn_macs
     }
 
-    /// Registers a driver as process `pid` on compute node `cn`. Returns the
-    /// driver's index on that CN.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`start`](Self::start) or with a bad index.
-    pub fn add_driver(&mut self, cn: usize, pid: Pid, driver: Box<dyn ClientDriver>) -> usize {
-        assert!(!self.started, "add drivers before starting the cluster");
-        self.sim.actor_mut::<ComputeNode>(self.cns[cn]).add_driver(pid, driver)
-    }
-
     /// Spawns an async client program as process `pid` on compute node
-    /// `cn`: builds a fresh [`ExecDriver`](crate::exec::ExecDriver), seeds
-    /// it with the task `f` returns, and registers it. The task starts at
-    /// [`start`](Self::start); clone the [`ProcHandle`](crate::exec::ProcHandle)
-    /// it receives to spawn further tasks. Returns the driver's index on
-    /// that CN.
+    /// `cn`: builds a fresh [`ExecDriver`], seeds it with the task `f`
+    /// returns, and hosts it on that CN. The task starts at
+    /// [`start`](Self::start); clone the [`ProcHandle`] it receives to spawn
+    /// further tasks. Returns the driver's index on that CN.
     ///
     /// # Panics
     ///
     /// Panics if called after [`start`](Self::start) or with a bad index.
     pub fn spawn<F, Fut>(&mut self, cn: usize, pid: Pid, f: F) -> usize
     where
-        F: FnOnce(crate::exec::ProcHandle) -> Fut,
+        F: FnOnce(ProcHandle) -> Fut,
         Fut: std::future::Future<Output = ()> + 'static,
     {
-        let driver = crate::exec::ExecDriver::new();
+        assert!(!self.started, "spawn clients before starting the cluster");
+        let driver = ExecDriver::new();
         let handle = driver.handle();
         handle.spawn(f(handle.clone()));
-        self.add_driver(cn, pid, Box::new(driver))
+        self.sim.actor_mut::<ComputeNode>(self.cns[cn]).add_driver(pid, driver)
     }
 
     /// Installs an offload module on memory node `mn`.
@@ -300,7 +290,7 @@ impl Cluster {
         });
     }
 
-    /// Starts every registered driver.
+    /// Starts every spawned client.
     pub fn start(&mut self) {
         self.started = true;
         for &cn in &self.cns {
@@ -323,7 +313,7 @@ impl Cluster {
         self.sim.now()
     }
 
-    /// Borrows a compute node (stats, driver state).
+    /// Borrows a compute node (stats, executor state).
     pub fn cn(&self, i: usize) -> &ComputeNode {
         self.sim.actor::<ComputeNode>(self.cns[i])
     }

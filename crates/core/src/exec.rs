@@ -1,8 +1,7 @@
 //! # Deterministic async executor for client programs
 //!
-//! The way to program a [`Cluster`](crate::Cluster): cooperative tasks,
-//! built on the raw event-driven [`ClientDriver`] interface, whose remote
-//! operations are real `Future`s —
+//! The way to program a [`Cluster`](crate::Cluster): cooperative tasks
+//! whose remote operations are real `Future`s —
 //!
 //! ```ignore
 //! cluster.spawn(0, pid, |h| async move {
@@ -12,7 +11,8 @@
 //! });
 //! ```
 //!
-//! One [`ExecDriver`] hosts any number of tasks on a compute node; tasks
+//! One [`ExecDriver`] per simulated process hosts any number of tasks on a
+//! compute node; tasks
 //! run *inside* the simulation's event loop (no OS threads), so a single
 //! simulated CN sustains tens of thousands of concurrent outstanding ops.
 //! Determinism is absolute: tasks are only polled from sim callbacks,
@@ -24,12 +24,12 @@
 //!
 //! Awaiting an [`OpFuture`] reserves one unit of the process's in-flight
 //! budget and queues a submission; the driver flushes queued submissions
-//! through [`ClientApi`] in program order. Each issued op carries the
-//! task's [`Waker`] down into CLib ([`ClientApi::register_waker`]), so the
-//! completion path — CLib `finish()` — wakes the exact task that awaits
-//! it, with no `rpoll` scanning anywhere. Ops that die before reaching
-//! CLib (fail-fast routing errors) are caught by a fallback wake when the
-//! driver receives the completion event.
+//! to its compute node in program order. Each issued op carries the
+//! task's [`Waker`] down into CLib, so the completion path — CLib
+//! `finish()` — wakes the exact task that awaits it, with no `rpoll`
+//! scanning anywhere. Ops that die before reaching CLib (fail-fast routing
+//! errors) are caught by a fallback wake when the driver receives the
+//! completion event.
 //!
 //! ## Backpressure
 //!
@@ -70,7 +70,7 @@ use clio_net::Mac;
 use clio_proto::Perm;
 use clio_sim::{SimDuration, SimTime};
 
-use crate::node::{AppCompletion, AppToken, ClientApi, ClientDriver, RuntimeGauges, POKE_TAG};
+use crate::node::{AppCompletion, AppToken, ClientApi, OpSpec, RuntimeGauges};
 
 pub mod openloop;
 
@@ -99,7 +99,7 @@ struct OpSlot {
     result: Option<AppCompletion>,
     waker: Option<Waker>,
     /// The host token, known once the driver flushes the submission;
-    /// cancellation after this point goes through [`ClientApi::cancel`].
+    /// cancellation after this point goes through the node.
     token: Option<AppToken>,
     /// Set by [`CancelHandle::cancel`] / an expired deadline; a queued
     /// submission carrying this flag is resolved locally instead of issued.
@@ -132,34 +132,11 @@ impl OpSlot {
     }
 }
 
-/// A remote op awaiting submission (mirrors [`ClientApi`]'s issue methods;
-/// `pid` is implied by the hosting driver).
-#[derive(Debug, Clone)]
-enum OpRequest {
-    Read { va: u64, len: u32 },
-    Write { va: u64, data: Bytes },
-    Alloc { size: u64, perm: Perm },
-    Free { va: u64, size: u64 },
-    Lock { va: u64 },
-    Unlock { va: u64 },
-    Faa { va: u64, delta: u64 },
-    Cas { va: u64, expected: u64, new: u64 },
-    Fence,
-    Release,
-    Offload { mn: Mac, offload: u16, opcode: u16, arg: Bytes },
-}
-
-#[derive(Debug, Clone)]
-enum VecRequest {
-    Read(Vec<(u64, u32)>),
-    Write(Vec<(u64, Bytes)>),
-}
-
-/// Work queued by task polls, flushed through [`ClientApi`] in FIFO
-/// (program) order by the driver.
+/// Work queued by task polls, flushed to the node in FIFO (program) order
+/// by the driver.
 enum Submission {
-    Op { req: OpRequest, arrival: SimTime, slot: Rc<RefCell<OpSlot>>, waker: Waker },
-    Vec { req: VecRequest, arrival: SimTime, slots: Vec<Rc<RefCell<OpSlot>>>, waker: Waker },
+    Op { spec: OpSpec, arrival: SimTime, slot: Rc<RefCell<OpSlot>>, waker: Waker },
+    Vec { specs: Vec<OpSpec>, arrival: SimTime, slots: Vec<Rc<RefCell<OpSlot>>>, waker: Waker },
     Timer { tag: u64, dur: SimDuration },
     Cancel { token: AppToken },
 }
@@ -255,24 +232,16 @@ fn poll_one(shared: &Rc<ExecShared>, tid: TaskId) {
     }
 }
 
-/// The cooperative executor, hosted on a compute node as one
-/// [`ClientDriver`]. Build one per simulated process with
-/// [`Cluster::spawn`](crate::Cluster::spawn) (or construct directly and
-/// [`add_driver`](crate::Cluster::add_driver) it to seed multiple root
-/// tasks).
+/// The cooperative executor of one simulated process, hosted on a compute
+/// node. [`Cluster::spawn`](crate::Cluster::spawn) builds one per process
+/// and seeds it with the root task.
 pub struct ExecDriver {
     shared: Rc<ExecShared>,
 }
 
-impl Default for ExecDriver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ExecDriver {
     /// A fresh executor with no tasks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ExecDriver {
             shared: Rc::new(ExecShared {
                 ready: Arc::new(Mutex::new(VecDeque::new())),
@@ -299,7 +268,7 @@ impl ExecDriver {
     }
 
     /// A handle for spawning tasks and issuing ops on this executor.
-    pub fn handle(&self) -> ProcHandle {
+    pub(crate) fn handle(&self) -> ProcHandle {
         ProcHandle { shared: self.shared.clone() }
     }
 
@@ -320,7 +289,7 @@ impl ExecDriver {
             let sub = self.shared.inner.borrow_mut().submit_q.pop_front();
             let Some(sub) = sub else { break };
             match sub {
-                Submission::Op { req, arrival, slot, waker } => {
+                Submission::Op { spec, arrival, slot, waker } => {
                     if slot.borrow().cancel_requested {
                         // The deadline fired before the submission reached
                         // the node API: resolve locally and refund the
@@ -346,22 +315,7 @@ impl ExecDriver {
                         }
                         continue;
                     }
-                    api.arrive_at(arrival);
-                    let token = match req {
-                        OpRequest::Read { va, len } => api.read(va, len),
-                        OpRequest::Write { va, data } => api.write(va, data),
-                        OpRequest::Alloc { size, perm } => api.alloc(size, perm),
-                        OpRequest::Free { va, size } => api.free(va, size),
-                        OpRequest::Lock { va } => api.lock(va),
-                        OpRequest::Unlock { va } => api.unlock(va),
-                        OpRequest::Faa { va, delta } => api.faa(va, delta),
-                        OpRequest::Cas { va, expected, new } => api.cas(va, expected, new),
-                        OpRequest::Fence => api.fence(),
-                        OpRequest::Release => api.release(),
-                        OpRequest::Offload { mn, offload, opcode, arg } => {
-                            api.offload(mn, offload, opcode, arg)
-                        }
-                    };
+                    let token = api.issue(spec, arrival);
                     api.register_waker(token, waker);
                     {
                         let mut s = slot.borrow_mut();
@@ -370,21 +324,15 @@ impl ExecDriver {
                     }
                     self.shared.inner.borrow_mut().op_slots.insert(token, slot);
                 }
-                Submission::Vec { req, arrival, slots, waker } => {
-                    api.arrive_at(arrival);
-                    let tokens = match req {
-                        VecRequest::Read(reads) => api.read_v(&reads),
-                        VecRequest::Write(writes) => api.write_v(writes),
-                    };
+                Submission::Vec { specs, arrival, slots, waker } => {
+                    let tokens = api.issue_vec(specs, arrival);
                     for (token, slot) in tokens.into_iter().zip(slots) {
                         api.register_waker(token, waker.clone());
                         self.shared.inner.borrow_mut().op_slots.insert(token, slot);
                     }
                 }
                 Submission::Timer { tag, dur } => api.wake_in(dur, tag),
-                Submission::Cancel { token } => {
-                    api.cancel(token);
-                }
+                Submission::Cancel { token } => api.cancel(token),
             }
         }
     }
@@ -402,14 +350,9 @@ impl ExecDriver {
             }
         }
     }
-}
 
-impl ClientDriver for ExecDriver {
-    fn name(&self) -> &str {
-        "exec"
-    }
-
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
+    /// Starts the executor: polls every task spawned before cluster start.
+    pub(crate) fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
         {
             let mut inner = self.shared.inner.borrow_mut();
             inner.running = true;
@@ -421,7 +364,8 @@ impl ClientDriver for ExecDriver {
         self.drain(api);
     }
 
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, completion: AppCompletion) {
+    /// Delivers one of this executor's completed ops.
+    pub(crate) fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, completion: AppCompletion) {
         let (slot_waker, unparked) = {
             let mut inner = self.shared.inner.borrow_mut();
             match inner.op_slots.remove(&completion.token) {
@@ -448,41 +392,45 @@ impl ClientDriver for ExecDriver {
         self.drain(api);
     }
 
-    fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
-        if tag == POKE_TAG {
-            let waiters = {
-                let mut inner = self.shared.inner.borrow_mut();
-                // Record the poke even when waiters exist: a woken waiter
-                // re-polls its PokeFuture, which resolves by consuming
-                // `poke_pending` — skipping the increment would leave it
-                // parked forever.
-                inner.poke_pending += 1;
-                std::mem::take(&mut inner.poke_waiters)
-            };
-            for w in waiters {
-                w.wake();
-            }
-        } else {
-            let waker = {
-                let mut inner = self.shared.inner.borrow_mut();
-                match inner.timers.get_mut(&tag) {
-                    Some(t) => {
-                        t.fired = true;
-                        t.waker.take()
-                    }
-                    None => None,
+    /// Fires the sleep timer armed with `tag`.
+    pub(crate) fn on_timer(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
+        let waker = {
+            let mut inner = self.shared.inner.borrow_mut();
+            match inner.timers.get_mut(&tag) {
+                Some(t) => {
+                    t.fired = true;
+                    t.waker.take()
                 }
-            };
-            if let Some(w) = waker {
-                w.wake();
+                None => None,
             }
+        };
+        if let Some(w) = waker {
+            w.wake();
+        }
+        self.drain(api);
+    }
+
+    /// Delivers a [`PokeDriver`](crate::node::PokeDriver) doorbell.
+    pub(crate) fn on_poke(&mut self, api: &mut ClientApi<'_, '_>) {
+        let waiters = {
+            let mut inner = self.shared.inner.borrow_mut();
+            // Record the poke even when waiters exist: a woken waiter
+            // re-polls its PokeFuture, which resolves by consuming
+            // `poke_pending` — skipping the increment would leave it
+            // parked forever.
+            inner.poke_pending += 1;
+            std::mem::take(&mut inner.poke_waiters)
+        };
+        for w in waiters {
+            w.wake();
         }
         self.drain(api);
     }
 }
 
 /// A cloneable handle onto one executor: spawn tasks, issue awaitable
-/// remote ops, sleep in virtual time. The async mirror of [`ClientApi`].
+/// remote ops, sleep in virtual time — the paper's CLib API for one
+/// process.
 #[derive(Clone)]
 pub struct ProcHandle {
     shared: Rc<ExecShared>,
@@ -520,11 +468,18 @@ impl ProcHandle {
         }
     }
 
-    fn op(&self, req: OpRequest) -> OpFuture {
+    fn op(&self, spec: OpSpec) -> OpFuture {
         OpFuture {
             shared: self.shared.clone(),
             slot: OpSlot::new(),
-            state: OpState::Start { req: Some(req), arrival: self.now() },
+            state: OpState::Start { spec: Some(spec), arrival: self.now() },
+        }
+    }
+
+    fn vec_op(&self, specs: Vec<OpSpec>) -> VecOpFuture {
+        VecOpFuture {
+            shared: self.shared.clone(),
+            state: VecOpState::Start { specs: Some(specs), arrival: self.now() },
         }
     }
 
@@ -540,74 +495,68 @@ impl ProcHandle {
 
     /// `ralloc`: allocate remote memory (await yields a VA completion).
     pub fn ralloc(&self, size: u64, perm: Perm) -> OpFuture {
-        self.op(OpRequest::Alloc { size, perm })
+        self.op(OpSpec::Alloc { size, perm })
     }
 
     /// `rfree`.
     pub fn rfree(&self, va: u64, size: u64) -> OpFuture {
-        self.op(OpRequest::Free { va, size })
+        self.op(OpSpec::Free { va, size })
     }
 
     /// `rread`: await yields the data completion.
     pub fn rread(&self, va: u64, len: u32) -> OpFuture {
-        self.op(OpRequest::Read { va, len })
+        self.op(OpSpec::Read { va, len })
     }
 
     /// `rwrite`.
     pub fn rwrite(&self, va: u64, data: Bytes) -> OpFuture {
-        self.op(OpRequest::Write { va, data })
+        self.op(OpSpec::Write { va, data })
     }
 
     /// `rlock` (resolves when acquired).
     pub fn rlock(&self, va: u64) -> OpFuture {
-        self.op(OpRequest::Lock { va })
+        self.op(OpSpec::Lock { va })
     }
 
     /// `runlock`.
     pub fn runlock(&self, va: u64) -> OpFuture {
-        self.op(OpRequest::Unlock { va })
+        self.op(OpSpec::Unlock { va })
     }
 
     /// Fetch-and-add on a remote 8-byte word.
     pub fn rfaa(&self, va: u64, delta: u64) -> OpFuture {
-        self.op(OpRequest::Faa { va, delta })
+        self.op(OpSpec::Faa { va, delta })
     }
 
     /// Compare-and-swap on a remote 8-byte word.
     pub fn rcas(&self, va: u64, expected: u64, new: u64) -> OpFuture {
-        self.op(OpRequest::Cas { va, expected, new })
+        self.op(OpSpec::Cas { va, expected, new })
     }
 
     /// `rfence`: fences this process's requests on every MN.
     pub fn rfence(&self) -> OpFuture {
-        self.op(OpRequest::Fence)
+        self.op(OpSpec::Fence)
     }
 
     /// `rrelease`: local barrier over this process's outstanding ops.
     pub fn rrelease(&self) -> OpFuture {
-        self.op(OpRequest::Release)
+        self.op(OpSpec::Release)
     }
 
     /// Invokes an offload installed on `mn`.
     pub fn roffload(&self, mn: Mac, offload: u16, opcode: u16, arg: Bytes) -> OpFuture {
-        self.op(OpRequest::Offload { mn, offload, opcode, arg })
+        self.op(OpSpec::Offload { mn, offload, opcode, arg })
     }
 
     /// `rread_v`: scatter/gather read as one batch submission; await
     /// yields one completion per entry, in order.
     pub fn rread_v(&self, reads: Vec<(u64, u32)>) -> VecOpFuture {
-        VecOpFuture {
-            shared: self.shared.clone(),
-            state: VecOpState::Start { req: Some(VecRequest::Read(reads)), arrival: self.now() },
-        }
+        self.vec_op(reads.into_iter().map(|(va, len)| OpSpec::Read { va, len }).collect())
     }
 
     /// `rwrite_v`: scatter/gather write, the mirror of [`rread_v`](Self::rread_v).
     pub fn rwrite_v(&self, writes: Vec<(u64, Bytes)>) -> VecOpFuture {
-        VecOpFuture {
-            shared: self.shared.clone(),
-            state: VecOpState::Start { req: Some(VecRequest::Write(writes)), arrival: self.now() },
-        }
+        self.vec_op(writes.into_iter().map(|(va, data)| OpSpec::Write { va, data }).collect())
     }
 
     /// Sleeps for `dur` of virtual time.
@@ -624,7 +573,7 @@ impl ProcHandle {
 }
 
 enum OpState {
-    Start { req: Option<OpRequest>, arrival: SimTime },
+    Start { spec: Option<OpSpec>, arrival: SimTime },
     Queued,
     Done,
 }
@@ -671,7 +620,7 @@ impl Future for OpFuture {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<AppCompletion> {
         let this = self.get_mut();
         match &mut this.state {
-            OpState::Start { req, arrival } => {
+            OpState::Start { spec, arrival } => {
                 if let Some(c) = this.slot.borrow_mut().result.take() {
                     // Cancelled before it was ever submitted.
                     this.state = OpState::Done;
@@ -706,7 +655,7 @@ impl Future for OpFuture {
                     s.in_submit_q = true;
                 }
                 inner.submit_q.push_back(Submission::Op {
-                    req: req.take().expect("op submitted once"),
+                    spec: spec.take().expect("op submitted once"),
                     arrival: *arrival,
                     slot: this.slot.clone(),
                     waker: cx.waker().clone(),
@@ -737,7 +686,7 @@ impl Future for OpFuture {
 /// Requests cancellation of the op behind `slot`. Three cases, by how far
 /// the op has travelled:
 ///
-/// * **issued** (token known) — queue a `Submission::Cancel`; the node API
+/// * **issued** (token known) — queue a `Submission::Cancel`; the node
 ///   cancels it through CLib and the completion flows back normally.
 /// * **in the submit queue** — mark the slot; the driver's flush resolves
 ///   it locally instead of issuing (refunding the budget slot).
@@ -840,7 +789,7 @@ impl Future for DeadlineFuture {
 }
 
 enum VecOpState {
-    Start { req: Option<VecRequest>, arrival: SimTime },
+    Start { specs: Option<Vec<OpSpec>>, arrival: SimTime },
     Queued { slots: Vec<Rc<RefCell<OpSlot>>> },
     Done,
 }
@@ -858,12 +807,9 @@ impl Future for VecOpFuture {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<AppCompletion>> {
         let this = self.get_mut();
         match &mut this.state {
-            VecOpState::Start { req, arrival } => {
-                let req = req.take().expect("batch submitted once");
-                let n = match &req {
-                    VecRequest::Read(v) => v.len(),
-                    VecRequest::Write(v) => v.len(),
-                };
+            VecOpState::Start { specs, arrival } => {
+                let specs = specs.take().expect("batch submitted once");
+                let n = specs.len();
                 if n == 0 {
                     this.state = VecOpState::Done;
                     return Poll::Ready(Vec::new());
@@ -877,7 +823,7 @@ impl Future for VecOpFuture {
                 inner.bump_gauge(|g| &g.inflight, n as i64);
                 let slots: Vec<_> = (0..n).map(|_| OpSlot::armed(cx.waker().clone())).collect();
                 inner.submit_q.push_back(Submission::Vec {
-                    req,
+                    specs,
                     arrival: *arrival,
                     slots: slots.clone(),
                     waker: cx.waker().clone(),
@@ -931,7 +877,6 @@ impl Future for SleepFuture {
                 let mut inner = this.shared.inner.borrow_mut();
                 inner.next_timer_tag += 1;
                 let tag = inner.next_timer_tag;
-                debug_assert_ne!(tag, POKE_TAG, "timer tags never reach the poke tag");
                 inner
                     .timers
                     .insert(tag, TimerEntry { fired: false, waker: Some(cx.waker().clone()) });
@@ -959,7 +904,7 @@ impl Future for SleepFuture {
     }
 }
 
-/// Resolves when this executor receives a driver poke (see
+/// Resolves when this executor receives a poke (see
 /// [`ProcHandle::next_poke`]).
 pub struct PokeFuture {
     shared: Rc<ExecShared>,

@@ -2,16 +2,13 @@
 //!
 //! Everything above the individual components: this crate builds whole
 //! deployments (compute nodes + CBoards + ToR switch + global controller)
-//! and offers two ways to program against them:
-//!
-//! * **async tasks** ([`exec`]) — the way to write a client: a deterministic
-//!   cooperative executor where the paper's Figure 1 API
-//!   (`ralloc`/`rread`/`rwrite`/`rlock`/...) returns futures
-//!   (`h.rread(va, len).await`), completions wake tasks through per-op
-//!   wakers, and submission is backpressure-aware; the [`exec::openloop`]
-//!   generator drives open-loop offered load,
-//! * **event-driven drivers** ([`ClientDriver`]) — the raw state machines
-//!   the executor itself is built on, still used by the figure benches.
+//! and runs client programs on them as **async tasks** ([`exec`]): a
+//! deterministic cooperative executor where the paper's Figure 1 API
+//! (`ralloc`/`rread`/`rwrite`/`rlock`/...) returns futures
+//! (`h.rread(va, len).await`), completions wake tasks through per-op
+//! wakers, and submission is backpressure-aware. Every client — examples,
+//! figure benches, tests — is a [`Cluster::spawn`] task; the
+//! [`exec::openloop`] generator drives open-loop offered load.
 //!
 //! The [`Controller`] implements the paper's two-level distributed virtual
 //! memory management (§4.7): it places allocations across MNs (each MN owns
@@ -28,6 +25,4 @@ pub mod node;
 pub use cluster::{Cluster, ClusterConfig};
 pub use controller::Controller;
 pub use exec::{ExecDriver, OpFuture, ProcHandle};
-pub use node::{
-    AppCompletion, AppResult, AppToken, ClientApi, ClientDriver, ComputeNode, RuntimeGauges,
-};
+pub use node::{AppCompletion, AppResult, AppToken, ComputeNode, RuntimeGauges};

@@ -1,13 +1,13 @@
-//! The compute-node host actor and its application-facing API.
+//! The compute-node host actor.
 //!
-//! A [`ComputeNode`] owns a NIC, a CLib instance and any number of
-//! [`ClientDriver`]s — event-driven client programs (workload generators,
-//! application clients, the async executor). Drivers issue operations
-//! through [`ClientApi`] using only `(pid, va)`; the node resolves
-//! which memory node owns the address (slice routing plus
-//! migration-exception cache), consults the global controller for
-//! allocations and after `Moved` refusals, and transparently re-issues
-//! relocated requests — the CN half of §4.7's distributed memory support.
+//! A [`ComputeNode`] owns a NIC, a CLib instance and one
+//! [`ExecDriver`] per simulated client process (each built by
+//! [`Cluster::spawn`](crate::Cluster::spawn)). Executors issue operations
+//! using only `(pid, va)`; the node resolves which memory node owns the
+//! address (slice routing plus migration-exception cache), consults the
+//! global controller for allocations and after `Moved` refusals, and
+//! transparently re-issues relocated requests — the CN half of §4.7's
+//! distributed memory support.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -22,12 +22,13 @@ use clio_trace::{Tracer, Track};
 use crate::controller::{
     AllocNotify, FreeNotify, PlaceAlloc, PlacementReply, RouteQuery, RouteReply, RouteUpdate,
 };
+use crate::exec::ExecDriver;
 
 /// Host-level operation handle, stable across transparent re-submissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppToken(pub u64);
 
-/// Result type delivered to drivers.
+/// Result type of a finished operation.
 pub type AppResult = Result<CompletionValue, ClioError>;
 
 /// A finished application operation.
@@ -37,7 +38,7 @@ pub struct AppCompletion {
     pub token: AppToken,
     /// Outcome.
     pub result: AppResult,
-    /// When the driver issued it.
+    /// When the client issued it (its arrival, for back-dated ops).
     pub issued_at: SimTime,
     /// When it completed.
     pub completed_at: SimTime,
@@ -74,77 +75,58 @@ impl AppCompletion {
     }
 }
 
-/// An event-driven client program hosted on a compute node.
-///
-/// The [`std::any::Any`] supertrait lets harnesses read a driver's concrete
-/// state back out of the simulation via [`ComputeNode::driver`].
-pub trait ClientDriver: std::any::Any {
-    /// Name for traces.
-    fn name(&self) -> &str {
-        "client"
-    }
-
-    /// Called once when the cluster starts.
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>);
-
-    /// Called for every completed operation this driver issued.
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, completion: AppCompletion);
-
-    /// Called when a timer armed with [`ClientApi::wake_in`] fires.
-    fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
-        let _ = (api, tag);
-    }
-}
-
-/// The operation spec kept host-side so requests can be transparently
-/// re-routed after migration.
+/// A remote operation as a client issues it — the one op vocabulary of
+/// the executor and the node. The issuing process is implied by the
+/// executor that submits it, and the target MN is resolved at dispatch
+/// (kept host-side so requests can be transparently re-routed after
+/// migration).
 #[derive(Debug, Clone)]
-enum OpSpec {
-    Read { pid: Pid, va: u64, len: u32 },
-    Write { pid: Pid, va: u64, data: Bytes },
-    Alloc { pid: Pid, size: u64, perm: Perm },
-    Free { pid: Pid, va: u64, size: u64 },
-    Lock { pid: Pid, va: u64 },
-    Unlock { pid: Pid, va: u64 },
-    Faa { pid: Pid, va: u64, delta: u64 },
-    Cas { pid: Pid, va: u64, expected: u64, new: u64 },
-    Fence { pid: Pid },
+pub(crate) enum OpSpec {
+    Read { va: u64, len: u32 },
+    Write { va: u64, data: Bytes },
+    Alloc { size: u64, perm: Perm },
+    Free { va: u64, size: u64 },
+    Lock { va: u64 },
+    Unlock { va: u64 },
+    Faa { va: u64, delta: u64 },
+    Cas { va: u64, expected: u64, new: u64 },
+    Fence,
     Release,
-    Offload { pid: Pid, mn: Mac, offload: u16, opcode: u16, arg: Bytes },
+    Offload { mn: Mac, offload: u16, opcode: u16, arg: Bytes },
 }
 
 impl OpSpec {
-    /// The `(pid, va, len)` span that determines routing, if any. The
-    /// length matters: an op is routable only if *every* byte it touches
-    /// lives on one MN, so routing must consider the full span rather than
-    /// just the start address.
-    fn route_range(&self) -> Option<(Pid, u64, u64)> {
+    /// The `(va, len)` span that determines routing, if any. The length
+    /// matters: an op is routable only if *every* byte it touches lives on
+    /// one MN, so routing must consider the full span rather than just the
+    /// start address.
+    fn route_range(&self) -> Option<(u64, u64)> {
         match self {
-            OpSpec::Read { pid, va, len } => Some((*pid, *va, u64::from(*len))),
-            OpSpec::Write { pid, va, data } => Some((*pid, *va, data.len() as u64)),
-            OpSpec::Free { pid, va, size } => Some((*pid, *va, *size)),
+            OpSpec::Read { va, len } => Some((*va, u64::from(*len))),
+            OpSpec::Write { va, data } => Some((*va, data.len() as u64)),
+            OpSpec::Free { va, size } => Some((*va, *size)),
             // Lock words and atomics are 8-byte cells.
-            OpSpec::Lock { pid, va }
-            | OpSpec::Unlock { pid, va }
-            | OpSpec::Faa { pid, va, .. }
-            | OpSpec::Cas { pid, va, .. } => Some((*pid, *va, 8)),
+            OpSpec::Lock { va }
+            | OpSpec::Unlock { va }
+            | OpSpec::Faa { va, .. }
+            | OpSpec::Cas { va, .. } => Some((*va, 8)),
             _ => None,
         }
     }
 
-    fn to_op(&self, mn: Mac) -> Op {
+    fn to_op(&self, pid: Pid, mn: Mac) -> Op {
         match self.clone() {
-            OpSpec::Read { pid, va, len } => Op::Read { mn, pid, va, len },
-            OpSpec::Write { pid, va, data } => Op::Write { mn, pid, va, data },
-            OpSpec::Alloc { pid, size, perm } => Op::Alloc { mn, pid, size, perm, fixed_va: None },
-            OpSpec::Free { pid, va, size } => Op::Free { mn, pid, va, size },
-            OpSpec::Lock { pid, va } => Op::Lock { mn, pid, va },
-            OpSpec::Unlock { pid, va } => Op::Unlock { mn, pid, va },
-            OpSpec::Faa { pid, va, delta } => Op::Faa { mn, pid, va, delta },
-            OpSpec::Cas { pid, va, expected, new } => Op::Cas { mn, pid, va, expected, new },
-            OpSpec::Fence { pid } => Op::Fence { mn, pid },
+            OpSpec::Read { va, len } => Op::Read { mn, pid, va, len },
+            OpSpec::Write { va, data } => Op::Write { mn, pid, va, data },
+            OpSpec::Alloc { size, perm } => Op::Alloc { mn, pid, size, perm, fixed_va: None },
+            OpSpec::Free { va, size } => Op::Free { mn, pid, va, size },
+            OpSpec::Lock { va } => Op::Lock { mn, pid, va },
+            OpSpec::Unlock { va } => Op::Unlock { mn, pid, va },
+            OpSpec::Faa { va, delta } => Op::Faa { mn, pid, va, delta },
+            OpSpec::Cas { va, expected, new } => Op::Cas { mn, pid, va, expected, new },
+            OpSpec::Fence => Op::Fence { mn, pid },
             OpSpec::Release => Op::Release,
-            OpSpec::Offload { pid, mn: target, offload, opcode, arg } => {
+            OpSpec::Offload { mn: target, offload, opcode, arg } => {
                 Op::Offload { mn: target, pid, offload, opcode, arg }
             }
         }
@@ -225,6 +207,7 @@ impl RasRouter {
 #[derive(Debug)]
 struct HostOp {
     driver: usize,
+    pid: Pid,
     spec: OpSpec,
     issued_at: SimTime,
     moved_retries: u32,
@@ -236,32 +219,29 @@ struct HostOp {
     /// The CLib token of the current submission attempt (refreshed on
     /// transparent re-routes), so wakers can follow the op across retries.
     clib_token: Option<OpToken>,
-    /// Completion waker registered through [`ClientApi::register_waker`];
+    /// Completion waker registered through `ClientApi::register_waker`;
     /// re-armed with CLib on every re-submission.
     waker: Option<std::task::Waker>,
 }
 
-/// Kick-off message: start all drivers (sent by `Cluster::start`).
+/// Kick-off message: start all executors (sent by `Cluster::start`).
 #[derive(Debug, Clone, Copy)]
 pub struct StartClients;
 
-/// Wakes one driver with the reserved poke tag: a harness-side doorbell
-/// (see [`ProcHandle::next_poke`](crate::ProcHandle::next_poke)).
+/// Pokes one executor: a harness-side doorbell (see
+/// [`ProcHandle::next_poke`](crate::ProcHandle::next_poke)).
 #[derive(Debug, Clone, Copy)]
 pub struct PokeDriver {
     /// The driver index on the target compute node.
     pub driver: usize,
 }
 
-/// The `on_wake` tag delivered by [`PokeDriver`].
-pub const POKE_TAG: u64 = u64::MAX;
-
 /// Default per-process in-flight submission budget (ops holding a window
 /// credit before the executor parks further submitters). Large enough that
-/// closed-loop drivers never park; open-loop overload tests shrink it.
+/// closed-loop clients never park; open-loop overload tests shrink it.
 pub const DEFAULT_INFLIGHT_BUDGET: usize = 65_536;
 
-/// Driver timer message.
+/// Executor timer message.
 #[derive(Debug, Clone, Copy)]
 struct Wake {
     driver: usize,
@@ -270,7 +250,8 @@ struct Wake {
 
 enum DriverEvent {
     Completion(AppCompletion),
-    Wake(u64),
+    Timer(u64),
+    Poke,
 }
 
 /// Live gauges describing the async client runtime on one compute node,
@@ -296,7 +277,6 @@ impl RuntimeGauges {
 }
 
 struct NodeCore {
-    cn_index: usize,
     nic: NicPort,
     clib: CLib,
     router: RasRouter,
@@ -311,12 +291,10 @@ struct NodeCore {
     pending_routes: HashMap<u64, AppToken>,
     events: VecDeque<(usize, DriverEvent)>,
     max_moved_retries: u32,
-    /// Arrival-time override consumed by the next [`ClientApi`] issue call.
-    next_arrival: Option<SimTime>,
     /// Per-process in-flight submission budget executor drivers enforce.
     runtime_budget: usize,
     runtime_gauges: RuntimeGauges,
-    /// Ops resolved with `DeadlineExceeded` by [`ClientApi::cancel`].
+    /// Ops resolved with `DeadlineExceeded` by `ClientApi::cancel`.
     deadline_exceeded: Counter,
 }
 
@@ -334,13 +312,13 @@ impl NodeCore {
     /// Issues (or re-issues) the stored op for `token`.
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, token: AppToken) {
         let Some(host_op) = self.app_ops.get_mut(&token) else { return };
-        let driver = host_op.driver;
+        let (driver, pid) = (host_op.driver, host_op.pid);
         let thread = ThreadId(driver as u64);
         match &host_op.spec {
-            OpSpec::Alloc { pid, size, .. } => {
+            OpSpec::Alloc { size, .. } => {
                 // Placement is the controller's call.
                 let tag = {
-                    let (pid, size) = (*pid, *size);
+                    let size = *size;
                     let tag = self.fresh_tag();
                     let msg = PlaceAlloc { pid, size, reply_to: ctx.self_id(), tag };
                     ctx.send(self.controller, SimDuration::from_micros(1), Message::new(msg));
@@ -348,7 +326,7 @@ impl NodeCore {
                 };
                 self.pending_placements.insert(tag, token);
             }
-            OpSpec::Fence { .. } => {
+            OpSpec::Fence => {
                 // Fence every MN the process might touch.
                 let spec = host_op.spec.clone();
                 host_op.fanout = self.mn_macs.len() as u32;
@@ -358,7 +336,8 @@ impl NodeCore {
                     // Only the first sub-submission carries the arrival
                     // attribution; the rest start at `now`.
                     self.clib.set_queued_since(queued_since.take());
-                    let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, spec.to_op(mac));
+                    let op = spec.to_op(pid, mac);
+                    let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, op);
                     self.token_map.insert(t, token);
                     if let Some(w) = waker.clone() {
                         self.clib.register_waker(t, w);
@@ -368,7 +347,7 @@ impl NodeCore {
             }
             spec => {
                 let mn = match spec.route_range() {
-                    Some((pid, va, len)) => match self.router.lookup(pid, va, len) {
+                    Some((va, len)) => match self.router.lookup(pid, va, len) {
                         Route::Owned(m) => m,
                         verdict => {
                             // Unroutable: fail fast with a typed error —
@@ -397,21 +376,29 @@ impl NodeCore {
                         _ => self.mn_macs.first().copied().expect("at least one MN"),
                     },
                 };
-                let op = spec.to_op(mn);
-                let queued_since = host_op.queued_since.take();
-                let waker = host_op.waker.clone();
-                self.clib.set_queued_since(queued_since);
-                let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, op);
-                self.token_map.insert(t, token);
-                if let Some(host_op) = self.app_ops.get_mut(&token) {
-                    host_op.clib_token = Some(t);
-                }
-                if let Some(w) = waker {
-                    self.clib.register_waker(t, w);
-                }
-                self.enqueue_clib_completions(ctx, comps);
+                let op = spec.to_op(pid, mn);
+                self.submit(ctx, token, op);
             }
         }
+    }
+
+    /// Submits `op` to CLib as the current attempt of `token`: attributes
+    /// the op's arrival (first attempt only), follows it with the op's
+    /// completion waker, and queues any immediate completions.
+    fn submit(&mut self, ctx: &mut Ctx<'_>, token: AppToken, op: Op) {
+        let Some(host_op) = self.app_ops.get_mut(&token) else { return };
+        let thread = ThreadId(host_op.driver as u64);
+        self.clib.set_queued_since(host_op.queued_since.take());
+        let waker = host_op.waker.clone();
+        let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, op);
+        self.token_map.insert(t, token);
+        if let Some(host_op) = self.app_ops.get_mut(&token) {
+            host_op.clib_token = Some(t);
+        }
+        if let Some(w) = waker {
+            self.clib.register_waker(t, w);
+        }
+        self.enqueue_clib_completions(ctx, comps);
     }
 
     /// Issues a vector of routable data ops (reads/writes) as one
@@ -429,10 +416,11 @@ impl NodeCore {
             if let Some(a) = host_op.queued_since.take() {
                 queued_since.get_or_insert(a);
             }
-            let (pid, va, len) = host_op.spec.route_range().expect("vector ops address memory");
+            let pid = host_op.pid;
+            let (va, len) = host_op.spec.route_range().expect("vector ops address memory");
             match self.router.lookup(pid, va, len) {
                 Route::Owned(mn) => {
-                    ops.push(host_op.spec.to_op(mn));
+                    ops.push(host_op.spec.to_op(pid, mn));
                     routed.push(token);
                 }
                 verdict => {
@@ -469,7 +457,7 @@ impl NodeCore {
         self.enqueue_clib_completions(ctx, comps);
     }
 
-    /// Converts CLib completions into driver events, handling Moved
+    /// Converts CLib completions into executor events, handling Moved
     /// re-routing, alloc notifications and fence fan-in.
     fn enqueue_clib_completions(&mut self, ctx: &mut Ctx<'_>, comps: Vec<Completion>) {
         for c in comps {
@@ -479,7 +467,8 @@ impl NodeCore {
             // Transparent re-route on Moved.
             if c.result == Err(ClioError::Moved) && host_op.moved_retries < self.max_moved_retries {
                 host_op.moved_retries += 1;
-                if let Some((pid, va, len)) = host_op.spec.route_range() {
+                if let Some((va, len)) = host_op.spec.route_range() {
+                    let pid = host_op.pid;
                     let tag = self.fresh_tag();
                     self.pending_routes.insert(tag, app_token);
                     let q = RouteQuery { pid, va, len, reply_to: ctx.self_id(), tag };
@@ -496,17 +485,18 @@ impl NodeCore {
 
             let host_op = self.app_ops.remove(&app_token).expect("present");
             // Successful allocations are reported to the controller.
-            if let (OpSpec::Alloc { pid, size, .. }, Ok(CompletionValue::Va(va))) =
+            let pid = host_op.pid;
+            if let (OpSpec::Alloc { size, .. }, Ok(CompletionValue::Va(va))) =
                 (&host_op.spec, &c.result)
             {
-                let Route::Owned(mn) = self.router.lookup(*pid, *va, *size) else {
+                let Route::Owned(mn) = self.router.lookup(pid, *va, *size) else {
                     panic!("allocated range must be routable to one MN")
                 };
-                let n = AllocNotify { pid: *pid, va: *va, len: *size, mn };
+                let n = AllocNotify { pid, va: *va, len: *size, mn };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
-            if let (OpSpec::Free { pid, va, .. }, Ok(_)) = (&host_op.spec, &c.result) {
-                let n = FreeNotify { pid: *pid, va: *va };
+            if let (OpSpec::Free { va, .. }, Ok(_)) = (&host_op.spec, &c.result) {
+                let n = FreeNotify { pid, va: *va };
                 ctx.send(self.controller, SimDuration::from_micros(1), Message::new(n));
             }
             self.events.push_back((
@@ -522,8 +512,9 @@ impl NodeCore {
     }
 }
 
-/// The API drivers program against.
-pub struct ClientApi<'a, 'b> {
+/// The node-side surface an [`ExecDriver`] issues its ops through, for the
+/// duration of one callback.
+pub(crate) struct ClientApi<'a, 'b> {
     core: &'a mut NodeCore,
     ctx: &'a mut Ctx<'b>,
     driver: usize,
@@ -531,170 +522,61 @@ pub struct ClientApi<'a, 'b> {
 
 impl ClientApi<'_, '_> {
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.ctx.now()
     }
 
-    /// This driver's process id.
-    pub fn pid(&self) -> Pid {
-        self.core.driver_pids[self.driver]
-    }
-
-    /// This compute node's index in the cluster.
-    pub fn cn_index(&self) -> usize {
-        self.core.cn_index
-    }
-
-    /// The memory nodes of the cluster (for offload targeting).
-    pub fn mn_macs(&self) -> &[Mac] {
-        &self.core.mn_macs
-    }
-
-    fn issue(&mut self, spec: OpSpec) -> AppToken {
-        let token = self.core.fresh_token();
+    /// A fresh host-side record for `spec`, issued by this driver with the
+    /// given arrival time (clamped to `now`): `issued_at` (and the trace
+    /// origin) start there, and the wait until actual submission is
+    /// attributed to the `SubmitQueued` stage.
+    fn host_op(&self, spec: OpSpec, arrival: SimTime) -> HostOp {
         let now = self.ctx.now();
-        let arrival = self.core.next_arrival.take().map_or(now, |a| a.min(now));
-        self.core.app_ops.insert(
-            token,
-            HostOp {
-                driver: self.driver,
-                spec,
-                issued_at: arrival,
-                moved_retries: 0,
-                fanout: 1,
-                queued_since: (arrival < now).then_some(arrival),
-                clib_token: None,
-                waker: None,
-            },
-        );
+        let arrival = arrival.min(now);
+        HostOp {
+            driver: self.driver,
+            pid: self.core.driver_pids[self.driver],
+            spec,
+            issued_at: arrival,
+            moved_retries: 0,
+            fanout: 1,
+            queued_since: (arrival < now).then_some(arrival),
+            clib_token: None,
+            waker: None,
+        }
+    }
+
+    /// Issues one op that arrived at `arrival`.
+    pub(crate) fn issue(&mut self, spec: OpSpec, arrival: SimTime) -> AppToken {
+        let token = self.core.fresh_token();
+        let host_op = self.host_op(spec, arrival);
+        self.core.app_ops.insert(token, host_op);
         self.core.dispatch(self.ctx, token);
         token
     }
 
-    /// `ralloc`: allocate remote virtual memory (placed by the controller).
-    pub fn alloc(&mut self, size: u64, perm: Perm) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Alloc { pid, size, perm })
-    }
-
-    /// `rfree`.
-    pub fn free(&mut self, va: u64, size: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Free { pid, va, size })
-    }
-
-    /// `rread`.
-    pub fn read(&mut self, va: u64, len: u32) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Read { pid, va, len })
-    }
-
-    /// `rwrite`.
-    pub fn write(&mut self, va: u64, data: Bytes) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Write { pid, va, data })
-    }
-
-    /// `rread_v`: scatter/gather read — submits the whole vector to the
-    /// transport as one unit, so the reads coalesce into batch frames
-    /// regardless of doorbell timing. Returns one token per entry, in
-    /// order; each completes independently.
-    pub fn read_v(&mut self, reads: &[(u64, u32)]) -> Vec<AppToken> {
-        let pid = self.pid();
-        let specs = reads.iter().map(|&(va, len)| OpSpec::Read { pid, va, len }).collect();
-        self.issue_vec(specs)
-    }
-
-    /// `rwrite_v`: scatter/gather write, the mirror of
-    /// [`read_v`](Self::read_v).
-    pub fn write_v(&mut self, writes: Vec<(u64, Bytes)>) -> Vec<AppToken> {
-        let pid = self.pid();
-        let specs = writes.into_iter().map(|(va, data)| OpSpec::Write { pid, va, data }).collect();
-        self.issue_vec(specs)
-    }
-
-    fn issue_vec(&mut self, specs: Vec<OpSpec>) -> Vec<AppToken> {
-        let driver = self.driver;
-        let now = self.ctx.now();
-        let arrival = self.core.next_arrival.take().map_or(now, |a| a.min(now));
+    /// Issues a vector of reads/writes as one scatter/gather submission:
+    /// the whole vector goes to the transport as one unit, so the entries
+    /// coalesce into batch frames regardless of doorbell timing. Returns
+    /// one token per entry, in order; each completes independently.
+    pub(crate) fn issue_vec(&mut self, specs: Vec<OpSpec>, arrival: SimTime) -> Vec<AppToken> {
         let tokens: Vec<AppToken> = specs
             .into_iter()
             .map(|spec| {
                 let token = self.core.fresh_token();
-                self.core.app_ops.insert(
-                    token,
-                    HostOp {
-                        driver,
-                        spec,
-                        issued_at: arrival,
-                        moved_retries: 0,
-                        fanout: 1,
-                        queued_since: (arrival < now).then_some(arrival),
-                        clib_token: None,
-                        waker: None,
-                    },
-                );
+                let host_op = self.host_op(spec, arrival);
+                self.core.app_ops.insert(token, host_op);
                 token
             })
             .collect();
-        self.core.dispatch_vec(self.ctx, driver, &tokens);
+        self.core.dispatch_vec(self.ctx, self.driver, &tokens);
         tokens
     }
 
-    /// `rlock` (completes when acquired).
-    pub fn lock(&mut self, va: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Lock { pid, va })
-    }
-
-    /// `runlock`.
-    pub fn unlock(&mut self, va: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Unlock { pid, va })
-    }
-
-    /// Fetch-and-add on a remote 8-byte word.
-    pub fn faa(&mut self, va: u64, delta: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Faa { pid, va, delta })
-    }
-
-    /// Compare-and-swap on a remote 8-byte word.
-    pub fn cas(&mut self, va: u64, expected: u64, new: u64) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Cas { pid, va, expected, new })
-    }
-
-    /// `rfence`: fences this process's requests on every MN.
-    pub fn fence(&mut self) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Fence { pid })
-    }
-
-    /// `rrelease`: local barrier over this driver's async operations.
-    pub fn release(&mut self) -> AppToken {
-        self.issue(OpSpec::Release)
-    }
-
-    /// Invokes an offload installed on `mn`.
-    pub fn offload(&mut self, mn: Mac, offload: u16, opcode: u16, arg: Bytes) -> AppToken {
-        let pid = self.pid();
-        self.issue(OpSpec::Offload { pid, mn, offload, opcode, arg })
-    }
-
-    /// Arms a timer delivering [`ClientDriver::on_wake`] with `tag`.
-    pub fn wake_in(&mut self, delay: SimDuration, tag: u64) {
+    /// Arms a timer delivering [`ExecDriver`]'s timer callback with `tag`.
+    pub(crate) fn wake_in(&mut self, delay: SimDuration, tag: u64) {
         let driver = self.driver;
         self.ctx.schedule(delay, Message::new(Wake { driver, tag }));
-    }
-
-    /// Declares the arrival time of the *next* issued op (open-loop load or
-    /// an op parked behind the in-flight budget). The op's `issued_at` (and
-    /// its trace origin) becomes `at`; the wait until actual submission is
-    /// attributed to the `SubmitQueued` stage. Clamped to `now`; consumed by
-    /// the next `issue`/`issue_vec` call.
-    pub fn arrive_at(&mut self, at: SimTime) {
-        self.core.next_arrival = Some(at);
     }
 
     /// Cancels an outstanding op: it completes now with
@@ -702,12 +584,12 @@ impl ClientApi<'_, '_> {
     /// released (no congestion signal — abandonment is not loss), and a
     /// `Cancelled` stage ends its trace. Sub-submissions of a fanned-out
     /// fence are all cancelled; an op still parked at the controller
-    /// (placement or route query) is failed directly. Returns `false` (and
-    /// does nothing) if the op already completed — cancellation is
-    /// best-effort and never un-completes a finished op.
-    pub fn cancel(&mut self, token: AppToken) -> bool {
+    /// (placement or route query) is failed directly. Does nothing if the
+    /// op already completed — cancellation is best-effort and never
+    /// un-completes a finished op.
+    pub(crate) fn cancel(&mut self, token: AppToken) {
         if !self.core.app_ops.contains_key(&token) {
-            return false;
+            return;
         }
         self.core.deadline_exceeded.inc();
         let clib_tokens: Vec<OpToken> =
@@ -734,13 +616,12 @@ impl ClientApi<'_, '_> {
             }
             self.core.enqueue_clib_completions(self.ctx, comps);
         }
-        true
     }
 
     /// Registers a completion waker for an outstanding op: it fires when the
     /// op completes (following it across transparent re-routes). The
     /// executor's per-op wake path — no-op if the op already completed.
-    pub fn register_waker(&mut self, token: AppToken, waker: std::task::Waker) {
+    pub(crate) fn register_waker(&mut self, token: AppToken, waker: std::task::Waker) {
         if let Some(host_op) = self.core.app_ops.get_mut(&token) {
             host_op.waker = Some(waker.clone());
             let clib_token = host_op.clib_token;
@@ -751,12 +632,12 @@ impl ClientApi<'_, '_> {
     }
 
     /// This node's shared runtime gauges (in-flight / parked / tasks).
-    pub fn runtime_gauges(&self) -> RuntimeGauges {
+    pub(crate) fn runtime_gauges(&self) -> RuntimeGauges {
         self.core.runtime_gauges.clone()
     }
 
-    /// The per-process in-flight submission budget executor drivers enforce.
-    pub fn inflight_budget(&self) -> usize {
+    /// The per-process in-flight submission budget executors enforce.
+    pub(crate) fn inflight_budget(&self) -> usize {
         self.core.runtime_budget
     }
 }
@@ -765,7 +646,7 @@ impl ClientApi<'_, '_> {
 pub struct ComputeNode {
     name: String,
     core: NodeCore,
-    drivers: Vec<Option<Box<dyn ClientDriver>>>,
+    drivers: Vec<ExecDriver>,
 }
 
 impl ComputeNode {
@@ -785,7 +666,6 @@ impl ComputeNode {
         ComputeNode {
             name: name.into(),
             core: NodeCore {
-                cn_index,
                 clib: CLib::new(clib_cfg, cn_index as u64 + 1, page_size),
                 nic,
                 router: RasRouter { slices, exceptions: Vec::new() },
@@ -800,7 +680,6 @@ impl ComputeNode {
                 pending_routes: HashMap::new(),
                 events: VecDeque::new(),
                 max_moved_retries: 8,
-                next_arrival: None,
                 runtime_budget: DEFAULT_INFLIGHT_BUDGET,
                 runtime_gauges: RuntimeGauges::default(),
                 deadline_exceeded: Counter::default(),
@@ -809,10 +688,10 @@ impl ComputeNode {
         }
     }
 
-    /// Registers a driver running as process `pid`. Returns its index.
-    pub fn add_driver(&mut self, pid: Pid, driver: Box<dyn ClientDriver>) -> usize {
+    /// Hosts `driver` as process `pid`. Returns its index.
+    pub(crate) fn add_driver(&mut self, pid: Pid, driver: ExecDriver) -> usize {
         self.core.driver_pids.push(pid);
-        self.drivers.push(Some(driver));
+        self.drivers.push(driver);
         self.drivers.len() - 1
     }
 
@@ -843,7 +722,7 @@ impl ComputeNode {
     }
 
     /// Overrides the per-process in-flight submission budget (backpressure
-    /// window) enforced by executor drivers on this node.
+    /// window) enforced by the executors on this node.
     pub fn set_runtime_budget(&mut self, budget: usize) {
         self.core.runtime_budget = budget.max(1);
     }
@@ -863,29 +742,28 @@ impl ComputeNode {
         }
     }
 
-    /// Borrows a driver's concrete state (harvesting measurements).
+    /// Borrows the executor at driver index `idx` (the index
+    /// [`Cluster::spawn`](crate::Cluster::spawn) returned), named by type:
+    /// `cn.driver::<ExecDriver>(idx)`.
     ///
     /// # Panics
     ///
-    /// Panics on index/type mismatch.
-    pub fn driver<D: ClientDriver>(&self, idx: usize) -> &D {
-        let d = self.drivers[idx].as_ref().expect("driver is executing");
-        let any: &dyn std::any::Any = d.as_ref();
-        any.downcast_ref::<D>().expect("driver type mismatch")
+    /// Panics on a bad index, or if `D` is not [`ExecDriver`].
+    pub fn driver<D: std::any::Any>(&self, idx: usize) -> &D {
+        let any: &dyn std::any::Any = &self.drivers[idx];
+        any.downcast_ref::<D>().expect("a compute node hosts only ExecDrivers")
     }
 
-    /// Drains queued driver events, letting drivers issue follow-up ops.
+    /// Drains queued executor events, letting tasks issue follow-up ops.
     fn pump_events(&mut self, ctx: &mut Ctx<'_>) {
         while let Some((idx, ev)) = self.core.events.pop_front() {
-            let Some(mut driver) = self.drivers[idx].take() else { continue };
-            {
-                let mut api = ClientApi { core: &mut self.core, ctx, driver: idx };
-                match ev {
-                    DriverEvent::Completion(c) => driver.on_completion(&mut api, c),
-                    DriverEvent::Wake(tag) => driver.on_wake(&mut api, tag),
-                }
+            let mut api = ClientApi { core: &mut self.core, ctx, driver: idx };
+            let driver = &mut self.drivers[idx];
+            match ev {
+                DriverEvent::Completion(c) => driver.on_completion(&mut api, c),
+                DriverEvent::Timer(tag) => driver.on_timer(&mut api, tag),
+                DriverEvent::Poke => driver.on_poke(&mut api),
             }
-            self.drivers[idx] = Some(driver);
         }
     }
 }
@@ -898,13 +776,8 @@ impl Actor for ComputeNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         let msg = match msg.downcast::<StartClients>() {
             Ok(_) => {
-                for idx in 0..self.drivers.len() {
-                    let Some(mut driver) = self.drivers[idx].take() else { continue };
-                    {
-                        let mut api = ClientApi { core: &mut self.core, ctx, driver: idx };
-                        driver.on_start(&mut api);
-                    }
-                    self.drivers[idx] = Some(driver);
+                for (idx, driver) in self.drivers.iter_mut().enumerate() {
+                    driver.on_start(&mut ClientApi { core: &mut self.core, ctx, driver: idx });
                 }
                 self.pump_events(ctx);
                 return;
@@ -922,7 +795,7 @@ impl Actor for ComputeNode {
         };
         let msg = match msg.downcast::<Wake>() {
             Ok(w) => {
-                self.core.events.push_back((w.driver, DriverEvent::Wake(w.tag)));
+                self.core.events.push_back((w.driver, DriverEvent::Timer(w.tag)));
                 self.pump_events(ctx);
                 return;
             }
@@ -930,7 +803,7 @@ impl Actor for ComputeNode {
         };
         let msg = match msg.downcast::<PokeDriver>() {
             Ok(p) => {
-                self.core.events.push_back((p.driver, DriverEvent::Wake(POKE_TAG)));
+                self.core.events.push_back((p.driver, DriverEvent::Poke));
                 self.pump_events(ctx);
                 return;
             }
@@ -939,21 +812,9 @@ impl Actor for ComputeNode {
         let msg = match msg.downcast::<PlacementReply>() {
             Ok(p) => {
                 if let Some(token) = self.core.pending_placements.remove(&p.tag) {
-                    if let Some(host_op) = self.core.app_ops.get_mut(&token) {
-                        let thread = ThreadId(host_op.driver as u64);
-                        let op = host_op.spec.to_op(p.mn);
-                        let queued_since = host_op.queued_since.take();
-                        let waker = host_op.waker.clone();
-                        self.core.clib.set_queued_since(queued_since);
-                        let (t, comps) = self.core.clib.submit(ctx, &mut self.core.nic, thread, op);
-                        self.core.token_map.insert(t, token);
-                        if let Some(host_op) = self.core.app_ops.get_mut(&token) {
-                            host_op.clib_token = Some(t);
-                        }
-                        if let Some(w) = waker {
-                            self.core.clib.register_waker(t, w);
-                        }
-                        self.core.enqueue_clib_completions(ctx, comps);
+                    if let Some(host_op) = self.core.app_ops.get(&token) {
+                        let op = host_op.spec.to_op(host_op.pid, p.mn);
+                        self.core.submit(ctx, token, op);
                         self.pump_events(ctx);
                     }
                 }
@@ -966,10 +827,11 @@ impl Actor for ComputeNode {
                 if let Some(token) = self.core.pending_routes.remove(&r.tag) {
                     match (r.mn, self.core.app_ops.get(&token)) {
                         (Some(mac), Some(host_op)) => {
-                            if let Some((pid, va, len)) = host_op.spec.route_range() {
+                            if let Some((va, len)) = host_op.spec.route_range() {
                                 // Cache an access-sized exception; the
                                 // controller's RouteUpdate broadcast widens
                                 // it to the whole migrated range.
+                                let pid = host_op.pid;
                                 self.core.router.add_exception(pid, va, len.max(1), mac);
                             }
                             self.core.dispatch(ctx, token);
@@ -978,7 +840,7 @@ impl Actor for ComputeNode {
                             // The controller either lost track of the range
                             // or reports it straddling two owners.
                             let result = match host_op.spec.route_range() {
-                                Some((_, va, len)) if r.spans => {
+                                Some((va, len)) if r.spans => {
                                     Err(ClioError::SpansOwners { va, len })
                                 }
                                 _ => Err(ClioError::Moved),

@@ -1,68 +1,44 @@
-//! Full-system integration: clusters with event-driven drivers, async
-//! client tasks, cross-CN sharing, multi-MN placement and
-//! pressure-triggered migration.
+//! Full-system integration: clusters of async client tasks, cross-CN
+//! sharing, multi-MN placement and pressure-triggered migration.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use clio_cn::CompletionValue;
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig, ExecDriver};
+use clio_core::{Cluster, ClusterConfig, ExecDriver};
 use clio_proto::{Perm, Pid};
 use clio_sim::SimDuration;
 
-/// Driver that allocates, writes a pattern, reads it back, and checks it.
-struct WriteReadClient {
-    va: u64,
-    phase: u8,
+/// Spawns a client that allocates, writes `pattern`, reads it back and
+/// checks it. The returned cell holds the read's latency once verified.
+fn spawn_write_read(
+    cluster: &mut Cluster,
+    cn: usize,
+    pid: Pid,
     pattern: Vec<u8>,
-    verified: bool,
-    read_latency: Option<SimDuration>,
-}
-
-impl WriteReadClient {
-    fn new(pattern: Vec<u8>) -> Self {
-        WriteReadClient { va: 0, phase: 0, pattern, verified: false, read_latency: None }
-    }
-}
-
-impl ClientDriver for WriteReadClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(self.pattern.len() as u64, Perm::RW);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        match self.phase {
-            0 => {
-                self.va = c.va();
-                self.phase = 1;
-                api.write(self.va, Bytes::from(self.pattern.clone()));
-            }
-            1 => {
-                assert!(c.result.is_ok(), "write failed: {:?}", c.result);
-                self.phase = 2;
-                api.read(self.va, self.pattern.len() as u32);
-            }
-            2 => {
-                assert_eq!(&c.data()[..], &self.pattern[..]);
-                self.read_latency = Some(c.latency());
-                self.verified = true;
-                self.phase = 3;
-            }
-            _ => {}
-        }
-    }
+) -> Rc<Cell<Option<SimDuration>>> {
+    let verified = Rc::new(Cell::new(None));
+    let out = verified.clone();
+    cluster.spawn(cn, pid, move |h| async move {
+        let va = h.ralloc(pattern.len() as u64, Perm::RW).await.va();
+        let c = h.rwrite(va, Bytes::from(pattern.clone())).await;
+        assert!(c.result.is_ok(), "write failed: {:?}", c.result);
+        let c = h.rread(va, pattern.len() as u32).await;
+        assert_eq!(&c.data()[..], &pattern[..]);
+        out.set(Some(c.latency()));
+    });
+    verified
 }
 
 #[test]
-fn driver_roundtrip_on_small_cluster() {
+fn write_read_roundtrip_on_small_cluster() {
     let mut cluster = Cluster::build(&ClusterConfig::test_small());
-    cluster.add_driver(0, Pid(1), Box::new(WriteReadClient::new(vec![7u8; 3000])));
+    let verified = spawn_write_read(&mut cluster, 0, Pid(1), vec![7u8; 3000]);
     cluster.start();
     cluster.run_until_idle();
-    let d: &WriteReadClient = cluster.cn(0).driver(0);
-    assert!(d.verified, "client never verified its data");
-    let lat = d.read_latency.expect("read measured");
+    assert!(verified.get().is_some(), "client never verified its data");
+    let lat = verified.get().expect("read measured");
     assert!(lat < SimDuration::from_micros(20), "3 KB read latency {lat}");
 }
 
@@ -72,17 +48,13 @@ fn many_processes_on_many_cns_and_mns() {
     cfg.cns = 3;
     cfg.mns = 2;
     let mut cluster = Cluster::build(&cfg);
-    for i in 0..12u64 {
-        let cn = (i % 3) as usize;
-        cluster.add_driver(cn, Pid(100 + i), Box::new(WriteReadClient::new(vec![i as u8; 512])));
-    }
+    let verified: Vec<_> = (0..12u64)
+        .map(|i| spawn_write_read(&mut cluster, (i % 3) as usize, Pid(100 + i), vec![i as u8; 512]))
+        .collect();
     cluster.start();
     cluster.run_until_idle();
-    for i in 0..12u64 {
-        let cn = (i % 3) as usize;
-        let idx = (i / 3) as usize;
-        let d: &WriteReadClient = cluster.cn(cn).driver(idx);
-        assert!(d.verified, "client {i} failed");
+    for (i, v) in verified.iter().enumerate() {
+        assert!(v.get().is_some(), "client {i} failed");
     }
     // Placement used both MNs (the controller balances by free memory).
     let used0 = cluster.mn(0).slow_path().palloc().used_pages();
@@ -225,32 +197,21 @@ fn pressure_triggers_transparent_migration() {
     assert_eq!(started, completed, "migrations must complete");
 }
 
-/// A closed-loop driver issuing `n` sequential reads (for scalability
-/// sanity: many drivers at once).
-struct ClosedLoop {
-    va: u64,
-    remaining: u32,
-    done: bool,
-}
-
-impl ClientDriver for ClosedLoop {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(4096, Perm::RW);
-    }
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.va == 0 {
-            self.va = c.va();
-            api.write(self.va, Bytes::from_static(&[1u8; 64]));
-            return;
+/// Spawns a closed-loop client issuing `n` sequential reads after a seed
+/// write (for scalability sanity: many processes at once). The returned
+/// flag is set once the last read completed.
+fn spawn_closed_loop(cluster: &mut Cluster, cn: usize, pid: Pid, n: u32) -> Rc<Cell<bool>> {
+    let done = Rc::new(Cell::new(false));
+    let flag = done.clone();
+    cluster.spawn(cn, pid, move |h| async move {
+        let va = h.ralloc(4096, Perm::RW).await.va();
+        assert!(h.rwrite(va, Bytes::from_static(&[1u8; 64])).await.result.is_ok());
+        for _ in 0..n {
+            assert!(h.rread(va, 64).await.result.is_ok());
         }
-        assert!(c.result.is_ok());
-        if self.remaining == 0 {
-            self.done = true;
-            return;
-        }
-        self.remaining -= 1;
-        api.read(self.va, 64);
-    }
+        flag.set(true);
+    });
+    done
 }
 
 #[test]
@@ -258,18 +219,13 @@ fn hundred_concurrent_processes() {
     let mut cfg = ClusterConfig::test_small();
     cfg.cns = 2;
     let mut cluster = Cluster::build(&cfg);
-    for i in 0..100u64 {
-        cluster.add_driver(
-            (i % 2) as usize,
-            Pid(1000 + i),
-            Box::new(ClosedLoop { va: 0, remaining: 20, done: false }),
-        );
-    }
+    let done: Vec<_> = (0..100u64)
+        .map(|i| spawn_closed_loop(&mut cluster, (i % 2) as usize, Pid(1000 + i), 20))
+        .collect();
     cluster.start();
     cluster.run_until_idle();
-    for i in 0..100u64 {
-        let d: &ClosedLoop = cluster.cn((i % 2) as usize).driver((i / 2) as usize);
-        assert!(d.done, "process {i} did not finish");
+    for (i, d) in done.iter().enumerate() {
+        assert!(d.get(), "process {i} did not finish");
     }
 }
 
@@ -316,11 +272,7 @@ fn deterministic_across_runs() {
         cfg.seed = seed;
         let mut cluster = Cluster::build(&cfg);
         for i in 0..10u64 {
-            cluster.add_driver(
-                0,
-                Pid(i),
-                Box::new(ClosedLoop { va: 0, remaining: 5, done: false }),
-            );
+            spawn_closed_loop(&mut cluster, 0, Pid(i), 5);
         }
         cluster.start();
         cluster.run_until_idle();

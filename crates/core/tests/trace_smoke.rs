@@ -5,8 +5,11 @@
 //! zero-overhead (identical digest, frames and completions); and the
 //! unified registry snapshots/resets every metric in one window.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use bytes::Bytes;
-use clio_core::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig};
+use clio_core::{Cluster, ClusterConfig};
 use clio_net::FaultInjector;
 use clio_proto::{Perm, Pid};
 use clio_trace::export::{perfetto_json, validate_chrome_trace};
@@ -15,63 +18,35 @@ use proptest::prelude::*;
 
 const BURST: usize = 64;
 
-/// Allocates one region, writes it once, then issues `BURST` reads as a
-/// single scatter/gather vector — the doorbell coalesces them into batch
-/// frames, so the burst exercises batching, egress coalescing and
-/// multi-op frames end to end.
-struct BurstClient {
-    va: u64,
-    phase: u8,
-    pending: usize,
-    done: bool,
-}
-
-impl BurstClient {
-    fn new() -> Self {
-        BurstClient { va: 0, phase: 0, pending: 0, done: false }
-    }
-}
-
-impl ClientDriver for BurstClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc((BURST as u64) * 64, Perm::RW);
-    }
-
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        match self.phase {
-            0 => {
-                self.va = c.va();
-                self.phase = 1;
-                api.write(self.va, Bytes::from(vec![0xAB; BURST * 64]));
-            }
-            1 => {
-                assert!(c.result.is_ok(), "seed write failed: {:?}", c.result);
-                self.phase = 2;
-                let reads: Vec<(u64, u32)> =
-                    (0..BURST as u64).map(|i| (self.va + i * 64, 64)).collect();
-                self.pending = api.read_v(&reads).len();
-            }
-            2 => {
-                assert!(c.result.is_ok(), "burst read failed: {:?}", c.result);
-                self.pending -= 1;
-                if self.pending == 0 {
-                    self.done = true;
-                }
-            }
-            _ => {}
+/// Spawns the burst client: allocates one region, writes it once, then
+/// issues `BURST` reads as a single scatter/gather vector — the doorbell
+/// coalesces them into batch frames, so the burst exercises batching,
+/// egress coalescing and multi-op frames end to end. The returned flag is
+/// set once every read completed.
+fn spawn_burst(cluster: &mut Cluster) -> Rc<Cell<bool>> {
+    let done = Rc::new(Cell::new(false));
+    let flag = done.clone();
+    cluster.spawn(0, Pid(1), move |h| async move {
+        let va = h.ralloc((BURST as u64) * 64, Perm::RW).await.va();
+        let c = h.rwrite(va, Bytes::from(vec![0xAB; BURST * 64])).await;
+        assert!(c.result.is_ok(), "seed write failed: {:?}", c.result);
+        let reads: Vec<(u64, u32)> = (0..BURST as u64).map(|i| (va + i * 64, 64)).collect();
+        for c in h.rread_v(reads).await {
+            assert!(c.result.is_ok(), "burst read failed: {:?}", c.result);
         }
-    }
+        flag.set(true);
+    });
+    done
 }
 
 /// Runs a traced burst and returns (cluster, finished traces).
 fn run_burst(sample_every: u64) -> (Cluster, Vec<OpTrace>) {
     let cfg = ClusterConfig::test_small().with_tracing(sample_every);
     let mut cluster = Cluster::build(&cfg);
-    cluster.add_driver(0, Pid(1), Box::new(BurstClient::new()));
+    let done = spawn_burst(&mut cluster);
     cluster.start();
     cluster.run_until_idle();
-    let d: &BurstClient = cluster.cn(0).driver(0);
-    assert!(d.done, "burst never completed");
+    assert!(done.get(), "burst never completed");
     let traces = cluster.take_traces();
     (cluster, traces)
 }
@@ -124,7 +99,7 @@ fn tracing_disabled_is_zero_overhead() {
             cfg = cfg.with_tracing(1);
         }
         let mut cluster = Cluster::build(&cfg);
-        cluster.add_driver(0, Pid(1), Box::new(BurstClient::new()));
+        spawn_burst(&mut cluster);
         cluster.start();
         cluster.run_until_idle();
         let stats = cluster.mn(0).stats();
@@ -164,11 +139,10 @@ fn corrupted_then_retried_op_links_retry_to_origin_attempt() {
         mn_mac,
         FaultInjector { corrupt_next: 1, ..FaultInjector::none() },
     );
-    cluster.add_driver(0, Pid(1), Box::new(BurstClient::new()));
+    let done = spawn_burst(&mut cluster);
     cluster.start();
     cluster.run_until_idle();
-    let d: &BurstClient = cluster.cn(0).driver(0);
-    assert!(d.done, "burst never completed despite retry budget");
+    assert!(done.get(), "burst never completed despite retry budget");
     assert!(cluster.cn(0).clib().retry_count() > 0, "corruption forced no retry");
 
     let traces = cluster.take_traces();
@@ -237,54 +211,45 @@ fn registry_snapshot_and_reset_cover_every_metric() {
 #[derive(Debug, Clone)]
 struct Workload {
     seed: u64,
-    ops_per_driver: u32,
-    drivers: usize,
+    ops_per_client: u32,
+    clients: usize,
     unbatched: bool,
     corrupt_prob: f64,
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     (any::<u64>(), 1u32..24, 1usize..4, any::<bool>(), 0usize..3).prop_map(
-        |(seed, ops_per_driver, drivers, unbatched, corrupt)| Workload {
+        |(seed, ops_per_client, clients, unbatched, corrupt)| Workload {
             seed,
-            ops_per_driver,
-            drivers,
+            ops_per_client,
+            clients,
             unbatched,
             corrupt_prob: [0.0, 0.15, 0.3][corrupt],
         },
     )
 }
 
-/// Closed-loop read/write mix driver for the property: alloc, seed write,
-/// then `n` alternating reads/writes.
-struct MixClient {
-    va: u64,
-    remaining: u32,
-    done: bool,
-}
-
-impl ClientDriver for MixClient {
-    fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-        api.alloc(4096, Perm::RW);
-    }
-    fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-        if self.va == 0 {
-            self.va = c.va();
-            api.write(self.va, Bytes::from_static(&[7u8; 128]));
-            return;
-        }
+/// Spawns the closed-loop read/write mix client for the property: alloc,
+/// seed write, then `n` alternating reads/writes. The returned flag is set
+/// once the last op completed.
+fn spawn_mix(cluster: &mut Cluster, pid: Pid, n: u32) -> Rc<Cell<bool>> {
+    let done = Rc::new(Cell::new(false));
+    let flag = done.clone();
+    cluster.spawn(0, pid, move |h| async move {
+        let va = h.ralloc(4096, Perm::RW).await.va();
+        let c = h.rwrite(va, Bytes::from_static(&[7u8; 128])).await;
         assert!(c.result.is_ok(), "op failed: {:?}", c.result);
-        if self.remaining == 0 {
-            self.done = true;
-            return;
+        for remaining in (0..n).rev() {
+            let c = if remaining.is_multiple_of(2) {
+                h.rread(va, 128).await
+            } else {
+                h.rwrite(va + 256, Bytes::from_static(&[9u8; 64])).await
+            };
+            assert!(c.result.is_ok(), "op failed: {:?}", c.result);
         }
-        self.remaining -= 1;
-        if self.remaining.is_multiple_of(2) {
-            api.read(self.va, 128);
-        } else {
-            api.write(self.va + 256, Bytes::from_static(&[9u8; 64]));
-        }
-    }
+        flag.set(true);
+    });
+    done
 }
 
 proptest! {
@@ -312,22 +277,17 @@ proptest! {
                 FaultInjector { corrupt_prob: w.corrupt_prob, ..FaultInjector::none() },
             );
         }
-        for i in 0..w.drivers {
-            cluster.add_driver(
-                0,
-                Pid(10 + i as u64),
-                Box::new(MixClient { va: 0, remaining: w.ops_per_driver, done: false }),
-            );
-        }
+        let done: Vec<_> = (0..w.clients)
+            .map(|i| spawn_mix(&mut cluster, Pid(10 + i as u64), w.ops_per_client))
+            .collect();
         cluster.start();
         cluster.run_until_idle();
-        for i in 0..w.drivers {
-            let d: &MixClient = cluster.cn(0).driver(i);
-            prop_assert!(d.done, "driver {i} never finished");
+        for (i, d) in done.iter().enumerate() {
+            prop_assert!(d.get(), "client {i} never finished");
         }
         let traces = cluster.take_traces();
         prop_assert!(
-            traces.len() as u32 >= w.drivers as u32 * (w.ops_per_driver + 2),
+            traces.len() as u32 >= w.clients as u32 * (w.ops_per_client + 2),
             "missing traces: {} recorded", traces.len()
         );
         for t in &traces {

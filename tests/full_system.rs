@@ -2,14 +2,17 @@
 //! (CLib → transport → fabric → CBoard → offloads → controller) in one
 //! process, exercised the way a downstream user would.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
 use bytes::Bytes;
 use clio::apps::kv::{partition_of, ClioKv, KvRequest, KvResponse};
 use clio::cn::CompletionValue;
 use clio::mn::CBoardConfig;
 use clio::proto::{Perm, Pid, Status};
 use clio::sim::SimDuration;
-use clio::system::node::{PokeDriver, POKE_TAG};
-use clio::system::{AppCompletion, ClientApi, ClientDriver, Cluster, ClusterConfig, ExecDriver};
+use clio::system::node::PokeDriver;
+use clio::system::{Cluster, ClusterConfig, ExecDriver};
 
 /// The Figure 1 API end to end: a lock-protected vector write (the paper's
 /// "two async writes, then poll"), a fence, read-back, and `rfree`.
@@ -41,68 +44,47 @@ fn blocking_api_roundtrip_with_locks_and_async() {
 
 #[test]
 fn kv_store_across_partitioned_mns() {
-    struct Loader {
-        n: u64,
-        done: u64,
-        phase: u8,
-        hits: u64,
-    }
-    impl Loader {
-        fn send(&self, api: &mut ClientApi<'_, '_>, req: &KvRequest) {
-            let key = match req {
-                KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key } => {
-                    key
-                }
-            };
-            let mn = api.mn_macs()[partition_of(key, api.mn_macs().len())];
-            api.offload(mn, 1, req.opcode(), req.encode());
-        }
-    }
-    impl ClientDriver for Loader {
-        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-            self.send(api, &KvRequest::Put { key: b"k000".to_vec(), value: b"v000".to_vec() });
-        }
-        fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-            assert!(c.result.is_ok(), "kv op failed: {:?}", c.result);
-            self.done += 1;
-            if self.phase == 0 {
-                if self.done < self.n {
-                    let k = format!("k{:03}", self.done).into_bytes();
-                    let v = format!("v{:03}", self.done).into_bytes();
-                    self.send(api, &KvRequest::Put { key: k, value: v });
-                } else {
-                    self.phase = 1;
-                    self.done = 0;
-                    self.send(api, &KvRequest::Get { key: b"k000".to_vec() });
-                }
-            } else {
-                if let Ok(CompletionValue::Data(d)) = &c.result {
-                    let expect = format!("v{:03}", self.done - 1);
-                    assert_eq!(
-                        KvResponse::decode(Status::Ok, d.clone()),
-                        KvResponse::Value(bytes::Bytes::from(expect.into_bytes()))
-                    );
-                    self.hits += 1;
-                }
-                if self.done < self.n {
-                    let k = format!("k{:03}", self.done).into_bytes();
-                    self.send(api, &KvRequest::Get { key: k });
-                }
-            }
-        }
-    }
-
+    const KEYS: u64 = 60;
     let mut cfg = ClusterConfig::test_small();
     cfg.mns = 3;
     let mut cluster = Cluster::build(&cfg);
     for mn in 0..3 {
         cluster.install_offload(mn, 1, Pid(9000 + mn as u64), Box::new(ClioKv::new(512)));
     }
-    cluster.add_driver(0, Pid(5), Box::new(Loader { n: 60, done: 0, phase: 0, hits: 0 }));
+    let mns = cluster.mn_macs().to_vec();
+    let hits = Rc::new(Cell::new(0u64));
+    let out = hits.clone();
+    cluster.spawn(0, Pid(5), move |h| async move {
+        let send = |req: KvRequest| {
+            let key = match &req {
+                KvRequest::Put { key, .. } | KvRequest::Get { key } | KvRequest::Delete { key } => {
+                    key
+                }
+            };
+            let mn = mns[partition_of(key, mns.len())];
+            h.roffload(mn, 1, req.opcode(), req.encode())
+        };
+        for i in 0..KEYS {
+            let (key, value) = (format!("k{i:03}").into_bytes(), format!("v{i:03}").into_bytes());
+            let c = send(KvRequest::Put { key, value }).await;
+            assert!(c.result.is_ok(), "kv op failed: {:?}", c.result);
+        }
+        for i in 0..KEYS {
+            let c = send(KvRequest::Get { key: format!("k{i:03}").into_bytes() }).await;
+            assert!(c.result.is_ok(), "kv op failed: {:?}", c.result);
+            if let Ok(CompletionValue::Data(d)) = &c.result {
+                let expect = format!("v{i:03}");
+                assert_eq!(
+                    KvResponse::decode(Status::Ok, d.clone()),
+                    KvResponse::Value(bytes::Bytes::from(expect.into_bytes()))
+                );
+                hits.set(hits.get() + 1);
+            }
+        }
+    });
     cluster.start();
     cluster.run_until_idle();
-    let l: &Loader = cluster.cn(0).driver(0);
-    assert_eq!(l.hits, 60, "all keys must be found across partitions");
+    assert_eq!(out.get(), KEYS, "all keys must be found across partitions");
     // Every MN served some traffic.
     for mn in 0..3 {
         assert!(cluster.mn(mn).stats().offload_calls > 0, "mn{mn} idle");
@@ -157,38 +139,6 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
     const READS: u64 = 64;
     const OP: u64 = 64; // bytes per read; 64 x 64 B = one 4 KiB page
 
-    /// Allocates + initializes a page on start, then waits for a poke to
-    /// fire its 64-read burst through the scatter/gather API.
-    struct IncastReader {
-        va: u64,
-        burst_fired: bool,
-        data: Vec<(u64, bytes::Bytes)>,
-    }
-    impl ClientDriver for IncastReader {
-        fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-            api.alloc(READS * OP, clio::proto::Perm::RW);
-        }
-        fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-            if self.va == 0 {
-                self.va = c.va();
-                let pattern: Vec<u8> = (0..READS * OP).map(|i| (i / OP) as u8).collect();
-                api.write(self.va, bytes::Bytes::from(pattern));
-                return;
-            }
-            if self.burst_fired {
-                self.data.push((c.token.0, c.data().clone()));
-            }
-        }
-        fn on_wake(&mut self, api: &mut ClientApi<'_, '_>, tag: u64) {
-            if tag == POKE_TAG && !self.burst_fired {
-                self.burst_fired = true;
-                let reads: Vec<(u64, u32)> =
-                    (0..READS).map(|i| (self.va + i * OP, OP as u32)).collect();
-                api.read_v(&reads);
-            }
-        }
-    }
-
     let run_storm = |corrupt: bool| {
         let mut cfg = ClusterConfig::test_small();
         cfg.cns = CNS;
@@ -198,13 +148,24 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
         cfg.clib.cwnd_init = 128.0;
         cfg.clib.cwnd_max = 256.0;
         let mut cluster = Cluster::build(&cfg);
-        for cn in 0..CNS {
-            cluster.add_driver(
-                cn,
-                Pid(100 + cn as u64),
-                Box::new(IncastReader { va: 0, burst_fired: false, data: vec![] }),
-            );
-        }
+        // Each CN allocates + initializes a page, then waits for a poke to
+        // fire its 64-read burst through the scatter/gather API.
+        let bursts: Vec<Rc<RefCell<Option<Vec<Bytes>>>>> = (0..CNS)
+            .map(|cn| {
+                let out = Rc::new(RefCell::new(None));
+                let sink = out.clone();
+                cluster.spawn(cn, Pid(100 + cn as u64), move |h| async move {
+                    let va = h.ralloc(READS * OP, Perm::RW).await.va();
+                    let pattern: Vec<u8> = (0..READS * OP).map(|i| (i / OP) as u8).collect();
+                    h.rwrite(va, Bytes::from(pattern)).await;
+                    h.next_poke().await;
+                    let reads = (0..READS).map(|i| (va + i * OP, OP as u32)).collect();
+                    let done = h.rread_v(reads).await;
+                    *sink.borrow_mut() = Some(done.iter().map(|c| c.data().clone()).collect());
+                });
+                out
+            })
+            .collect();
         // Phase 1 (fault-free): allocations + pattern writes drain.
         cluster.start();
         cluster.run_until_idle();
@@ -231,15 +192,12 @@ fn incast_corruption_storm_recovers_with_coalesced_frames() {
         }
         cluster.run_until_idle();
 
-        let mut per_cn: Vec<Vec<bytes::Bytes>> = Vec::new();
+        let mut per_cn: Vec<Vec<Bytes>> = Vec::new();
         let mut per_cn_rx_frames: Vec<u64> = Vec::new();
-        for cn in 0..CNS {
-            let d: &IncastReader = cluster.cn(cn).driver(0);
-            assert!(d.burst_fired, "cn{cn} never fired its burst");
-            let mut data = d.data.clone();
+        for (cn, burst) in bursts.iter().enumerate() {
+            let data = burst.borrow_mut().take().expect("burst never completed");
             assert_eq!(data.len() as u64, READS, "cn{cn}: a read never completed");
-            data.sort_by_key(|(t, _)| *t);
-            per_cn.push(data.into_iter().map(|(_, b)| b).collect());
+            per_cn.push(data);
             // Frames delivered to this CN (responses + NACKs), per port.
             let mac = cluster.cn(cn).mac();
             per_cn_rx_frames.push(cluster.net.port_stats(&cluster.sim, mac).tx_frames);
@@ -311,30 +269,17 @@ fn deterministic_full_cluster_replay() {
         cfg.mns = 2;
         cfg.seed = 77;
         let mut cluster = Cluster::build(&cfg);
-        struct Worker {
-            left: u32,
-            va: u64,
-        }
-        impl ClientDriver for Worker {
-            fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
-                api.alloc(8192, clio::proto::Perm::RW);
-            }
-            fn on_completion(&mut self, api: &mut ClientApi<'_, '_>, c: AppCompletion) {
-                if self.va == 0 {
-                    self.va = c.va();
-                }
-                if self.left > 0 {
-                    self.left -= 1;
-                    if self.left.is_multiple_of(2) {
-                        api.read(self.va, 64);
+        for i in 0..6u64 {
+            cluster.spawn(0, Pid(i), |h| async move {
+                let va = h.ralloc(8192, Perm::RW).await.va();
+                for left in (0..30u32).rev() {
+                    if left.is_multiple_of(2) {
+                        h.rread(va, 64).await;
                     } else {
-                        api.write(self.va, bytes::Bytes::from(vec![1u8; 64]));
+                        h.rwrite(va, Bytes::from(vec![1u8; 64])).await;
                     }
                 }
-            }
-        }
-        for i in 0..6u64 {
-            cluster.add_driver(0, Pid(i), Box::new(Worker { left: 30, va: 0 }));
+            });
         }
         cluster.start();
         cluster.run_until_idle();
