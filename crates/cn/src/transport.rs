@@ -105,6 +105,9 @@ use crate::error::ClioError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct XferToken(pub u64);
 
+/// Retry-timeout allowance per byte a request waits on (≈0.4 Gbps).
+const TIMEOUT_NS_PER_BYTE: u64 = 20;
+
 /// How to (re)build the packets of a request — the CN-side retransmission
 /// state (§4.4 "maintain transport logic, state, and data buffers only at
 /// CNs").
@@ -244,15 +247,17 @@ impl Blueprint {
         }
     }
 
-    /// The retry timeout: the base (multiplied for slow-path ops) plus a
-    /// conservative 20 ns/byte (≈0.4 Gbps) allowance for the bytes this
-    /// request moves in either direction, so multi-MTU transfers are not
-    /// spuriously retried even under congestion (the congestion window's
-    /// per-byte target of 10 ns/byte keeps queueing below this).
+    /// The retry timeout on an otherwise idle path: the base (multiplied
+    /// for slow-path ops) plus a conservative [`TIMEOUT_NS_PER_BYTE`]
+    /// (≈0.4 Gbps) allowance for the bytes this request moves in either
+    /// direction, so multi-MTU transfers are not spuriously retried even
+    /// under congestion (the congestion window's per-byte target of
+    /// 10 ns/byte keeps queueing below this). Bytes of the CN's *other*
+    /// in-flight requests are budgeted on top by
+    /// [`Transport::timeout_for`].
     fn timeout(&self, base: SimDuration) -> SimDuration {
-        let transfer =
-            SimDuration::from_nanos((self.payload_bytes() + self.expected_response_bytes()) * 20);
-        base * self.timeout_multiplier() + transfer
+        let bytes = self.payload_bytes() + self.expected_response_bytes();
+        base * self.timeout_multiplier() + SimDuration::from_nanos(bytes * TIMEOUT_NS_PER_BYTE)
     }
 
     /// True if a retry must carry `retry_of` for MN-side deduplication.
@@ -522,6 +527,8 @@ pub struct Transport {
     cfg: CLibConfig,
     next_req: u64,
     outstanding: HashMap<ReqId, Outstanding>,
+    /// Σ request payload bytes over `outstanding`, per target MN.
+    payload_in_flight: HashMap<Mac, u64>,
     parked_conflicts: HashMap<XferToken, Outstanding>,
     queues: HashMap<Mac, VecDeque<QueuedSend>>,
     conflict_generations: HashMap<XferToken, u32>,
@@ -575,6 +582,7 @@ impl Transport {
             cfg,
             next_req: cn_id << 40,
             outstanding: HashMap::new(),
+            payload_in_flight: HashMap::new(),
             parked_conflicts: HashMap::new(),
             queues: HashMap::new(),
             conflict_generations: HashMap::new(),
@@ -667,7 +675,9 @@ impl Transport {
     ///   requests (parked conflicts and queued sends hold no bytes),
     /// * each MN's congestion window holds exactly one slot per
     ///   outstanding request toward it,
-    /// * no token is simultaneously parked and outstanding.
+    /// * no token is simultaneously parked and outstanding,
+    /// * each MN's counted in-flight payload == Σ request payload bytes over
+    ///   outstanding requests toward it.
     ///
     /// Returns a human-readable description of the first violation. Called
     /// by the `clio_mc` explorer at every settled state; cheap enough for
@@ -683,8 +693,19 @@ impl Transport {
             ));
         }
         let mut per_mn: HashMap<Mac, u64> = HashMap::new();
+        let mut payload: HashMap<Mac, u64> = HashMap::new();
         for o in self.outstanding.values() {
             *per_mn.entry(o.target).or_insert(0) += 1;
+            *payload.entry(o.target).or_insert(0) += o.blueprint.payload_bytes();
+        }
+        for (mac, &bytes) in &self.payload_in_flight {
+            let want = payload.get(mac).copied().unwrap_or(0);
+            if bytes != want {
+                return Err(format!(
+                    "{bytes} payload bytes counted in flight toward {mac} but outstanding \
+                     requests carry {want}"
+                ));
+            }
         }
         for (mac, cwnd) in &self.cwnds {
             let want = per_mn.get(mac).copied().unwrap_or(0);
@@ -1169,11 +1190,11 @@ impl Transport {
             self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
         }
         let timer = ctx.schedule(
-            blueprint.timeout(self.cfg.request_timeout),
+            self.timeout_for(&blueprint, target),
             Message::new(TransportTimer::Timeout(req_id)),
         );
         let expected_bytes = blueprint.expected_response_bytes();
-        self.outstanding.insert(
+        self.track(
             req_id,
             Outstanding {
                 token,
@@ -1270,10 +1291,10 @@ impl Transport {
         self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
         self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
         let timer = ctx.schedule(
-            blueprint.timeout(self.cfg.request_timeout),
+            self.timeout_for(&blueprint, target),
             Message::new(TransportTimer::Timeout(req_id)),
         );
-        self.outstanding.insert(
+        self.track(
             req_id,
             Outstanding {
                 token,
@@ -1292,6 +1313,31 @@ impl Transport {
         );
         let bytes = self.outstanding[&req_id].blueprint.expected_response_bytes();
         self.outstanding.get_mut(&req_id).expect("just inserted").expected_bytes = bytes;
+    }
+
+    /// The retry timeout of `blueprint` toward `target`: its own budget
+    /// plus [`TIMEOUT_NS_PER_BYTE`] for the payload of every request this
+    /// CN already has in flight to `target`. Those bytes go out ahead of
+    /// it on the same path, so a small op queued behind the CN's own bulk
+    /// writes must not expire while they drain.
+    fn timeout_for(&self, blueprint: &Blueprint, target: Mac) -> SimDuration {
+        let queued = self.payload_in_flight.get(&target).copied().unwrap_or(0);
+        blueprint.timeout(self.cfg.request_timeout)
+            + SimDuration::from_nanos(queued * TIMEOUT_NS_PER_BYTE)
+    }
+
+    /// Registers `o` as outstanding under `id`.
+    fn track(&mut self, id: ReqId, o: Outstanding) {
+        *self.payload_in_flight.entry(o.target).or_insert(0) += o.blueprint.payload_bytes();
+        self.outstanding.insert(id, o);
+    }
+
+    /// Unregisters the outstanding request `id`, if any.
+    fn untrack(&mut self, id: &ReqId) -> Option<Outstanding> {
+        let o = self.outstanding.remove(id)?;
+        let payload = self.payload_in_flight.get_mut(&o.target).expect("tracked target");
+        *payload -= o.blueprint.payload_bytes();
+        Some(o)
     }
 
     fn release_windows(&mut self, now: SimTime, o: &Outstanding, rtt: Option<SimDuration>) {
@@ -1331,7 +1377,7 @@ impl Transport {
         let ids: Vec<ReqId> =
             self.outstanding.iter().filter(|(_, o)| o.token == token).map(|(id, _)| *id).collect();
         for id in ids {
-            let mut o = self.outstanding.remove(&id).expect("collected above");
+            let mut o = self.untrack(&id).expect("collected above");
             if let Some(t) = o.timer.take() {
                 ctx.cancel(t);
             }
@@ -1434,7 +1480,7 @@ impl Transport {
     /// whether the entry *failed* the request (exhausted retries) and so
     /// freed window space the caller should re-drain.
     fn handle_nack(&mut self, ctx: &mut Ctx<'_>, req_id: ReqId, done: &mut Vec<XferDone>) -> bool {
-        let Some(mut o) = self.outstanding.remove(&req_id) else {
+        let Some(mut o) = self.untrack(&req_id) else {
             return false; // stale/duplicate NACK
         };
         if let Some(t) = o.timer.take() {
@@ -1500,7 +1546,7 @@ impl Transport {
             ResponseBody::AtomicOld { old } => XferValue::Old(old),
             ResponseBody::OffloadReply { data } => XferValue::Data(data),
         };
-        let o = self.outstanding.remove(&header.req_id).expect("checked");
+        let o = self.untrack(&header.req_id).expect("checked");
         if let Some(t) = o.timer {
             ctx.cancel(t);
         }
@@ -1562,13 +1608,12 @@ impl Transport {
         let new_id = self.fresh_id();
         let retry_of = o.blueprint.is_non_idempotent().then_some(o.origin);
         let timer = ctx.schedule(
-            o.blueprint.timeout(self.cfg.request_timeout),
+            self.timeout_for(&o.blueprint, o.target),
             Message::new(TransportTimer::Timeout(new_id)),
         );
         self.reassembler.forget(prev_id);
         let target = o.target;
-        self.outstanding
-            .insert(new_id, Outstanding { attempt_sent_at: ctx.now(), timer: Some(timer), ..o });
+        self.track(new_id, Outstanding { attempt_sent_at: ctx.now(), timer: Some(timer), ..o });
         self.retry_queues.entry(target).or_default().push((new_id, retry_of));
         if self.retry_doorbells.insert(target) {
             ctx.schedule(SimDuration::ZERO, Message::new(TransportTimer::RetryPump(target)));
@@ -1592,7 +1637,7 @@ impl Transport {
         if self.peer_open(target) {
             let now = ctx.now();
             for (req_id, _) in entries {
-                let Some(mut o) = self.outstanding.remove(&req_id) else { continue };
+                let Some(mut o) = self.untrack(&req_id) else { continue };
                 if let Some(t) = o.timer.take() {
                     ctx.cancel(t);
                 }
@@ -1688,7 +1733,7 @@ impl Transport {
         let mut done = Vec::new();
         match timer {
             TransportTimer::Timeout(req_id) => {
-                let Some(mut o) = self.outstanding.remove(&req_id) else {
+                let Some(mut o) = self.untrack(&req_id) else {
                     return done; // completed already
                 };
                 o.timer = None;
