@@ -5,7 +5,8 @@
 //! per-thread ordering streams are those of a real client) and reports
 //! through a shared [`Recorder`] the harness reads after the run. A window
 //! of `n` outstanding ops is `n` worker tasks drawing from one shared op
-//! sequence.
+//! sequence; `h.spawn` polls each worker inline, so their first ops submit
+//! in spawn order.
 
 use std::cell::RefCell;
 use std::future::{poll_fn, Future};
@@ -102,18 +103,6 @@ async fn join_each(ops: Vec<OpFuture>, mut each: impl FnMut(AppCompletion)) {
         }
     })
     .await
-}
-
-/// Spawns `workers` copies of `worker` on `h` (each inline-polled, so their
-/// first ops submit in spawn order).
-fn spawn_workers<Fut: Future<Output = ()> + 'static>(
-    h: &ProcHandle,
-    workers: u32,
-    mut worker: impl FnMut() -> Fut,
-) {
-    for _ in 0..workers {
-        h.spawn(worker());
-    }
 }
 
 /// A closed-loop (optionally windowed) read/write load.
@@ -224,20 +213,20 @@ impl MemLoad {
             let workers = if think.is_zero() { self.window } else { 1 };
             let rng = SimRng::new(self.seed);
             let ops = Rc::new(RefCell::new(MemOps { load: self, va, issued: 0, rng }));
-            spawn_workers(&h, workers, || {
-                let (h, ops, rec) = (h.clone(), ops.clone(), rec.clone());
-                async move {
+            for _ in 0..workers {
+                let (h2, ops, rec) = (h.clone(), ops.clone(), rec.clone());
+                h.spawn(async move {
                     loop {
                         let next = ops.borrow_mut().next();
                         let Some(a) = next else { break };
                         if !think.is_zero() {
-                            h.sleep(think).await;
+                            h2.sleep(think).await;
                         }
-                        let c = access(&h, a, size, sg).await;
+                        let c = access(&h2, a, size, sg).await;
                         record(&rec, &c, size as u64);
                     }
-                }
-            });
+                });
+            }
         });
         out
     }
@@ -363,9 +352,9 @@ impl KvLoad {
             *rec.borrow_mut() = OpRecorder::new(h.now());
             let value_size = gen.value_size() as u64;
             let state = Rc::new(RefCell::new((gen, 0u64)));
-            spawn_workers(&h, window, || {
-                let (h, mns, state, rec) = (h.clone(), mns.clone(), state.clone(), rec.clone());
-                async move {
+            for _ in 0..window {
+                let (h2, mns, state, rec) = (h.clone(), mns.clone(), state.clone(), rec.clone());
+                h.spawn(async move {
                     loop {
                         let req = {
                             let (gen, issued) = &mut *state.borrow_mut();
@@ -380,11 +369,11 @@ impl KvLoad {
                                 }
                             }
                         };
-                        let c = kv_call(&h, &mns, id, &req).await;
+                        let c = kv_call(&h2, &mns, id, &req).await;
                         record(&rec, &c, value_size);
                     }
-                }
-            });
+                });
+            }
         });
         out
     }

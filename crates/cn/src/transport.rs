@@ -692,14 +692,15 @@ impl Transport {
                 expected
             ));
         }
-        let mut per_mn: HashMap<Mac, u64> = HashMap::new();
-        let mut payload: HashMap<Mac, u64> = HashMap::new();
+        // Per MN: (outstanding requests, their request payload bytes).
+        let mut per_mn: HashMap<Mac, (u64, u64)> = HashMap::new();
         for o in self.outstanding.values() {
-            *per_mn.entry(o.target).or_insert(0) += 1;
-            *payload.entry(o.target).or_insert(0) += o.blueprint.payload_bytes();
+            let (count, payload) = per_mn.entry(o.target).or_insert((0, 0));
+            *count += 1;
+            *payload += o.blueprint.payload_bytes();
         }
         for (mac, &bytes) in &self.payload_in_flight {
-            let want = payload.get(mac).copied().unwrap_or(0);
+            let want = per_mn.get(mac).map_or(0, |&(_, payload)| payload);
             if bytes != want {
                 return Err(format!(
                     "{bytes} payload bytes counted in flight toward {mac} but outstanding \
@@ -708,7 +709,7 @@ impl Transport {
             }
         }
         for (mac, cwnd) in &self.cwnds {
-            let want = per_mn.get(mac).copied().unwrap_or(0);
+            let want = per_mn.get(mac).map_or(0, |&(count, _)| count);
             if cwnd.outstanding() != want {
                 return Err(format!(
                     "congestion window toward {mac} holds {} slots but {} requests \

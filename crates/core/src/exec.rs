@@ -12,9 +12,9 @@
 //! ```
 //!
 //! One [`ExecDriver`] per simulated process hosts any number of tasks on a
-//! compute node; tasks
-//! run *inside* the simulation's event loop (no OS threads), so a single
-//! simulated CN sustains tens of thousands of concurrent outstanding ops.
+//! compute node; tasks run *inside* the simulation's event loop (no OS
+//! threads), so a single simulated CN sustains tens of thousands of
+//! concurrent outstanding ops.
 //! Determinism is absolute: tasks are only polled from sim callbacks,
 //! ready/submission queues are FIFO, and every wake-up is carried by a sim
 //! event — same program + same seed ⇒ the same virtual-time schedule and

@@ -283,36 +283,39 @@ fn deterministic_across_runs() {
 
 /// Regression: a small op must not time out behind its own CN's bulk
 /// writes. Three processes keep 64 KiB writes in flight to one MN, so a
-/// 64 B read issued at 150 µs queues at the switch behind ~150 µs of this
-/// CN's write bytes. Its retry timeout used to budget only its own bytes
-/// (~51 µs), so every attempt expired and the read failed with
-/// `TimedOut`; the timeout now also budgets the payload of the CN's
-/// outstanding requests to the same MN.
+/// 64 B read issued mid-stream (150 µs) queues at the switch behind
+/// ~150 µs of this CN's write bytes. Its retry timeout used to budget only
+/// its own bytes (~51 µs), so every attempt expired and the read failed
+/// with `TimedOut`; the timeout now also budgets the payload of the CN's
+/// outstanding requests to the same MN. Swept over issue times from the
+/// start of the stream to after it.
 #[test]
 fn small_read_behind_own_bulk_writes_does_not_time_out() {
     const WRITE: u64 = 64 << 10;
-    let mut cluster = Cluster::build(&ClusterConfig::test_small());
-    for p in 0..3u64 {
-        cluster.spawn(0, Pid(10 + p), move |h| async move {
-            let va = h.ralloc(4 * WRITE, Perm::RW).await.va();
-            for i in 0..4 {
-                let data = Bytes::from(vec![p as u8; WRITE as usize]);
-                let c = h.rwrite(va + i * WRITE, data).await;
-                assert!(c.result.is_ok(), "bulk write failed: {:?}", c.result);
-            }
+    for issue_us in [80, 150, 250, 400] {
+        let mut cluster = Cluster::build(&ClusterConfig::test_small());
+        for p in 0..3u64 {
+            cluster.spawn(0, Pid(10 + p), move |h| async move {
+                let va = h.ralloc(4 * WRITE, Perm::RW).await.va();
+                for i in 0..4 {
+                    let data = Bytes::from(vec![p as u8; WRITE as usize]);
+                    let c = h.rwrite(va + i * WRITE, data).await;
+                    assert!(c.result.is_ok(), "bulk write failed: {:?}", c.result);
+                }
+            });
+        }
+        let read = Rc::new(Cell::new(None));
+        let out = read.clone();
+        cluster.spawn(0, Pid(20), move |h| async move {
+            let va = h.ralloc(4096, Perm::RW).await.va();
+            h.sleep(SimTime::from_nanos(issue_us * 1000).since(h.now())).await;
+            out.set(Some(h.rread(va, 64).await.result.map(|_| ())));
         });
+        cluster.start();
+        cluster.run_until_idle();
+        let result = read.take().expect("read never completed");
+        assert!(result.is_ok(), "read issued at {issue_us} us failed: {result:?}");
+        let retries = cluster.cn(0).clib().retry_count();
+        assert_eq!(retries, 0, "read issued at {issue_us} us: no request should have retried");
     }
-    let read = Rc::new(Cell::new(None));
-    let out = read.clone();
-    cluster.spawn(0, Pid(20), move |h| async move {
-        let va = h.ralloc(4096, Perm::RW).await.va();
-        h.sleep(SimTime::from_nanos(150_000).since(h.now())).await;
-        let c = h.rread(va, 64).await;
-        out.set(Some(c.result.map(|_| c.completed_at)));
-    });
-    cluster.start();
-    cluster.run_until_idle();
-    let result = read.take().expect("read never completed");
-    assert!(result.is_ok(), "small read behind bulk writes failed: {result:?}");
-    assert_eq!(cluster.cn(0).clib().retry_count(), 0, "no request should have retried");
 }

@@ -12,8 +12,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use clio_apps::image::{compress_cpu_time, rle_compress, rle_decompress, synth_image, IMAGE_BYTES};
+use clio_cn::ClioError;
 use clio_core::{Cluster, ClusterConfig};
-use clio_proto::{Perm, Pid};
+use clio_proto::{Perm, Pid, Status};
 use clio_sim::{SimDuration, SimRng};
 
 const CLIENTS: u64 = 3;
@@ -23,14 +24,17 @@ fn main() {
     let mut cfg = ClusterConfig::test_small();
     cfg.board.hw.phys_mem_bytes = 64 << 20;
     let mut cluster = Cluster::build(&cfg);
-    // Client 0 publishes its originals' address, once uploaded, for the nosy
-    // client below.
+    // Client 0 publishes its originals' address as soon as it has one, so
+    // the nosy client below races the uploads.
     let published: Rc<Cell<Option<u64>>> = Rc::default();
 
     for client in 0..CLIENTS {
         let publish = published.clone();
         cluster.spawn(0, Pid(100 + client), move |h| async move {
             let originals = h.ralloc((IMAGES * IMAGE_BYTES) as u64, Perm::RW).await.va();
+            if client == 0 {
+                publish.set(Some(originals));
+            }
             let compressed = h.ralloc((IMAGES * IMAGE_BYTES) as u64, Perm::RW).await.va();
 
             // Upload this client's photo collection.
@@ -41,9 +45,6 @@ fn main() {
                 let va = originals + (i * IMAGE_BYTES) as u64;
                 h.rwrite(va, Bytes::from(img.clone())).await.result.expect("upload");
                 photos.push(img);
-            }
-            if client == 0 {
-                publish.set(Some(originals));
             }
 
             // The service loop: read -> compress -> write back.
@@ -75,7 +76,11 @@ fn main() {
         };
         let result = h.rread(foreign, 64).await.result;
         println!("[nosy client] cross-tenant read => {result:?}");
-        assert!(result.is_err(), "protection must hold (R5)");
+        assert_eq!(
+            result,
+            Err(ClioError::Remote(Status::InvalidAddr)),
+            "protection must hold (R5)"
+        );
     });
 
     cluster.start();
