@@ -15,7 +15,11 @@ pub struct CLibConfig {
     /// Software cost to receive and deliver a completion.
     pub recv_overhead: SimDuration,
     /// Retry timeout: a request unanswered for this long is retried with a
-    /// fresh id (§4.5 T4). Must match the MN's dedup-buffer sizing.
+    /// fresh id (§4.5 T4). Must match the MN's dedup-buffer sizing
+    /// (`3 × TIMEOUT × bandwidth`): the transport adds a per-byte allowance
+    /// for the request's own payload and for the CN's other in-flight
+    /// payload to the same MN, but caps the latter at `2 ×` this for writes
+    /// and atomics, so a small non-idempotent op retries within `3 ×` this.
     pub request_timeout: SimDuration,
     /// Retries before the request fails back to the application.
     pub max_retries: u32,

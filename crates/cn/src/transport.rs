@@ -105,8 +105,20 @@ use crate::error::ClioError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct XferToken(pub u64);
 
-/// Retry-timeout allowance per byte a request waits on (≈0.4 Gbps).
+/// Retry-timeout allowance per byte a request moves itself (≈0.4 Gbps).
 const TIMEOUT_NS_PER_BYTE: u64 = 20;
+
+/// Retry-timeout allowance per byte of the CN's *other* in-flight payload
+/// toward the same MN (≈4 Gbps): 2.5× the time those bytes take to drain
+/// through a 10 Gbps MN port, headroom for other CNs sharing that port.
+const QUEUED_NS_PER_BYTE: u64 = 2;
+
+/// Cap on the queued-payload allowance of a write or atomic, in units of
+/// `request_timeout`. A retried non-idempotent request is safe only while
+/// the MN's dedup buffer still holds its original, and that buffer is sized
+/// for `3 × TIMEOUT` of traffic (§4.5 T4), so a small write or atomic never
+/// waits longer than that before it retries.
+const QUEUED_TIMEOUTS_MAX: u64 = 2;
 
 /// How to (re)build the packets of a request — the CN-side retransmission
 /// state (§4.4 "maintain transport logic, state, and data buffers only at
@@ -1317,14 +1329,20 @@ impl Transport {
     }
 
     /// The retry timeout of `blueprint` toward `target`: its own budget
-    /// plus [`TIMEOUT_NS_PER_BYTE`] for the payload of every request this
+    /// plus [`QUEUED_NS_PER_BYTE`] for the payload of every request this
     /// CN already has in flight to `target`. Those bytes go out ahead of
     /// it on the same path, so a small op queued behind the CN's own bulk
-    /// writes must not expire while they drain.
+    /// writes must not expire while they drain. For a write or atomic the
+    /// extra wait is capped at [`QUEUED_TIMEOUTS_MAX`] `× request_timeout`,
+    /// keeping its retries inside the MN's dedup window; a read's retry is
+    /// harmless, so its allowance is not capped.
     fn timeout_for(&self, blueprint: &Blueprint, target: Mac) -> SimDuration {
         let queued = self.payload_in_flight.get(&target).copied().unwrap_or(0);
-        blueprint.timeout(self.cfg.request_timeout)
-            + SimDuration::from_nanos(queued * TIMEOUT_NS_PER_BYTE)
+        let mut wait = SimDuration::from_nanos(queued * QUEUED_NS_PER_BYTE);
+        if blueprint.is_non_idempotent() {
+            wait = wait.min(self.cfg.request_timeout * QUEUED_TIMEOUTS_MAX);
+        }
+        blueprint.timeout(self.cfg.request_timeout) + wait
     }
 
     /// Registers `o` as outstanding under `id`.

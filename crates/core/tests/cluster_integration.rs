@@ -7,6 +7,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use clio_cn::CompletionValue;
 use clio_core::{Cluster, ClusterConfig, ExecDriver};
+use clio_net::FaultInjector;
 use clio_proto::{Perm, Pid};
 use clio_sim::{SimDuration, SimTime};
 
@@ -318,4 +319,67 @@ fn small_read_behind_own_bulk_writes_does_not_time_out() {
         let retries = cluster.cn(0).clib().retry_count();
         assert_eq!(retries, 0, "read issued at {issue_us} us: no request should have retried");
     }
+}
+
+/// An FAA queued behind its CN's own bulk writes must retry within the MN's
+/// dedup window. CN 0 puts 256 KiB of writes in flight, then issues an FAA
+/// behind them whose response is lost; from 250 µs CN 1 streams small
+/// writes to 64 pages, each recorded in the MN's FIFO dedup buffer. An
+/// uncapped queued-payload allowance delayed the FAA's retry until CN 1's
+/// writes had evicted the original's record, and the retry added again.
+#[test]
+fn lost_faa_response_behind_own_bulk_writes_applies_once() {
+    const WRITE: u64 = 64 << 10;
+    const PAGE: u64 = 4096;
+    let mut cluster = Cluster::build(&ClusterConfig { cns: 2, ..ClusterConfig::test_small() });
+    for p in 0..4u64 {
+        cluster.spawn(0, Pid(10 + p), move |h| async move {
+            let va = h.ralloc(WRITE, Perm::RW).await.va();
+            let data = Bytes::from(vec![p as u8; WRITE as usize]);
+            h.rwrite(va, data).await.result.expect("bulk write");
+        });
+    }
+    cluster.spawn(1, Pid(30), |h| async move {
+        let va = h.ralloc(64 * PAGE, Perm::RW).await.va();
+        h.sleep(SimTime::from_nanos(250_000).since(h.now())).await;
+        for w in 0..64u64 {
+            let h2 = h.clone();
+            h.spawn(async move {
+                for i in 0..100u8 {
+                    let data = Bytes::from(vec![i; 64]);
+                    h2.rwrite(va + w * PAGE, data).await.result.expect("small write");
+                }
+            });
+        }
+    });
+    let outcome = Rc::new(Cell::new(None));
+    let out = outcome.clone();
+    cluster.spawn(0, Pid(20), move |h| async move {
+        let va = h.ralloc(PAGE, Perm::RW).await.va();
+        let faa = h.rfaa(va, 1).await.result;
+        let after = match h.rfaa(va, 0).await.result {
+            Ok(CompletionValue::Old(v)) => v,
+            other => panic!("read-back faa returned {other:?}"),
+        };
+        out.set(Some((faa, after)));
+    });
+    cluster.start();
+    // Lose every frame toward CN 0 for 5 µs from the FAA's execution: its
+    // response (and any write ack sharing that window).
+    while cluster.mn(0).silicon().stats().atomics == 0 {
+        cluster.run_for(SimDuration::from_nanos(100));
+    }
+    let cn0 = cluster.cn(0).mac();
+    cluster.net.set_faults(
+        &mut cluster.sim,
+        cn0,
+        FaultInjector { corrupt_next: u32::MAX, ..FaultInjector::none() },
+    );
+    cluster.run_for(SimDuration::from_micros(5));
+    cluster.net.set_faults(&mut cluster.sim, cn0, FaultInjector::none());
+    cluster.run_until_idle();
+    let (faa, after) = outcome.take().expect("faa client never finished");
+    assert!(cluster.mn(0).stats().dedup_replays > 0, "no retry was answered from the dedup buffer");
+    assert!(matches!(faa, Ok(CompletionValue::Old(0))), "faa returned {faa:?}");
+    assert_eq!(after, 1, "the add took effect {after} times");
 }
