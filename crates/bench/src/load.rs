@@ -56,15 +56,11 @@ struct Access {
     fill: Option<u8>,
 }
 
-/// Issues `a` as a `size`-byte op — through the scalar path, or as a
-/// one-entry scatter/gather vector.
-async fn access(h: &ProcHandle, a: Access, size: u32, scatter_gather: bool) -> AppCompletion {
-    let data = |b| Bytes::from(vec![b; size as usize]);
-    match (a.fill, scatter_gather) {
-        (Some(b), false) => h.rwrite(a.va, data(b)).await,
-        (None, false) => h.rread(a.va, size).await,
-        (Some(b), true) => h.rwrite_v(vec![(a.va, data(b))]).await.remove(0),
-        (None, true) => h.rread_v(vec![(a.va, size)]).await.remove(0),
+/// Issues `a` as a `size`-byte op.
+async fn access(h: &ProcHandle, a: Access, size: u32) -> AppCompletion {
+    match a.fill {
+        Some(b) => h.rwrite(a.va, Bytes::from(vec![b; size as usize])).await,
+        None => h.rread(a.va, size).await,
     }
 }
 
@@ -131,9 +127,6 @@ pub struct MemLoad {
     /// Think time before each op (models light offered load); a
     /// think-time load runs one op at a time regardless of `window`.
     pub think: SimDuration,
-    /// Submit every op through the scatter/gather API (`rread_v`/
-    /// `rwrite_v`) instead of the scalar path.
-    pub scatter_gather: bool,
     /// Seed of the page-selection RNG.
     pub seed: u64,
 }
@@ -190,15 +183,8 @@ impl MemLoad {
             page_size,
             random,
             think: SimDuration::ZERO,
-            scatter_gather: false,
             seed,
         }
-    }
-
-    /// Switches the load to the explicit scatter/gather submit path.
-    pub fn with_scatter_gather(mut self) -> Self {
-        self.scatter_gather = true;
-        self
     }
 
     /// Runs the load as process `pid` on compute node `cn` from cluster
@@ -209,7 +195,7 @@ impl MemLoad {
         cluster.spawn(cn, pid, move |h| async move {
             let va = alloc_warm(&h, self.span_pages, self.page_size).await;
             *rec.borrow_mut() = OpRecorder::new(h.now());
-            let (size, think, sg) = (self.size, self.think, self.scatter_gather);
+            let (size, think) = (self.size, self.think);
             let workers = if think.is_zero() { self.window } else { 1 };
             let rng = SimRng::new(self.seed);
             let ops = Rc::new(RefCell::new(MemOps { load: self, va, issued: 0, rng }));
@@ -222,7 +208,7 @@ impl MemLoad {
                         if !think.is_zero() {
                             h2.sleep(think).await;
                         }
-                        let c = access(&h2, a, size, sg).await;
+                        let c = access(&h2, a, size).await;
                         record(&rec, &c, size as u64);
                     }
                 });
@@ -448,7 +434,7 @@ impl RangeLoad {
                     va: self.base + page * self.page_size,
                     fill: write.then_some(i as u8),
                 };
-                let c = access(&h, a, self.size, false).await;
+                let c = access(&h, a, self.size).await;
                 assert!(c.result.is_ok(), "range op failed: {:?}", c.result);
                 if i >= self.warmup {
                     rec.borrow_mut().record(c.completed_at, c.latency(), self.size as u64);
