@@ -173,7 +173,7 @@ pub enum Op {
 }
 
 /// The value delivered by a successful completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CompletionValue {
     /// Read data or offload reply.
     Data(Bytes),
@@ -200,7 +200,7 @@ pub struct Completion {
     pub completed_at: SimTime,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingOp {
     thread: ThreadId,
     op: Op,
@@ -259,6 +259,29 @@ impl CLib {
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
         }
+    }
+
+    /// A deep copy of this CLib whose counters and tracer are detached
+    /// from the original's (for forking the host that owns it). `None`
+    /// while a completion waker is registered: wakers belong to an
+    /// executor outside the simulation, which the copy must not wake.
+    pub fn fork(&self) -> Option<Self> {
+        if !self.wakers.is_empty() {
+            return None;
+        }
+        Some(CLib {
+            cfg: self.cfg,
+            page_size: self.page_size,
+            transport: self.transport.fork(),
+            trackers: self.trackers.clone(),
+            ops: self.ops.clone(),
+            wakers: HashMap::new(),
+            queued_since: self.queued_since,
+            next_token: self.next_token,
+            completed_count: self.completed_count.detached(),
+            tracer: self.tracer.detached(),
+            track: self.track,
+        })
     }
 
     /// Injects the tracer and the CN track this CLib (and its transport)
@@ -447,7 +470,7 @@ impl CLib {
         let trace = if matches!(op, Op::Release) {
             None
         } else {
-            let trace = self.tracer.begin(op_kind_dbg(&op), arrival);
+            let trace = self.tracer.begin(op_kind(&op), arrival);
             if arrival < ctx.now() {
                 self.tracer.stitch(trace, self.track, Stage::SubmitQueued, ctx.now());
             }
@@ -460,16 +483,6 @@ impl CLib {
         } else {
             tracker.submit(token, class, vpns)
         };
-        if std::env::var_os("CLIO_DEBUG").is_some() {
-            eprintln!(
-                "[clib t={} thr={:?}] submit {:?} tok={:?} dispatch={}",
-                ctx.now(),
-                thread,
-                op_kind_dbg(&self.ops[&token].op),
-                token,
-                dispatch
-            );
-        }
         (token, dispatch)
     }
 
@@ -679,7 +692,7 @@ impl CLib {
         // Lock spinning: TAS returned 1 -> not acquired; back off and retry.
         if let (Op::Lock { .. }, Ok(XferValue::Old(old))) = (&pending.op, &done.result) {
             if *old != 0 {
-                ctx.schedule(self.cfg.lock_backoff, Message::new(LockRetry { token }));
+                ctx.schedule(self.cfg.lock_backoff, Message::cloneable(LockRetry { token }));
                 return;
             }
         }
@@ -701,15 +714,6 @@ impl CLib {
         });
         self.completed_count.inc();
         self.tracer.finish(pending.trace, self.track, ctx.now());
-        if std::env::var_os("CLIO_DEBUG").is_some() {
-            eprintln!(
-                "[clib t={}] finish tok={:?} kind={} ok={}",
-                ctx.now(),
-                token,
-                op_kind_dbg(&pending.op),
-                value.is_ok()
-            );
-        }
         completions.push(Completion {
             token,
             thread: pending.thread,
@@ -733,7 +737,7 @@ fn pending_key(token: OpToken) -> OpToken {
     token
 }
 
-fn op_kind_dbg(op: &Op) -> &'static str {
+fn op_kind(op: &Op) -> &'static str {
     match op {
         Op::Read { .. } => "read",
         Op::Write { .. } => "write",

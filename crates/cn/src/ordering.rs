@@ -48,7 +48,7 @@ impl<T> Tracked<T> {
 /// either dispatch immediately or join a FIFO pending queue; completions
 /// release queued operations in program order (a pending op never jumps an
 /// earlier conflicting one).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DependencyTracker<T> {
     inflight: Vec<Tracked<T>>,
     pending: VecDeque<Tracked<T>>,
@@ -103,11 +103,15 @@ impl<T: Copy + PartialEq> DependencyTracker<T> {
         }
     }
 
-    /// Marks a dispatched operation complete and returns the tokens of
-    /// queued operations that become dispatchable, in program order.
+    /// Marks an operation complete and returns the tokens of queued
+    /// operations that become dispatchable, in program order. The op may
+    /// still be queued (a cancelled op never dispatched): it leaves the
+    /// queue, and whatever it was holding back is released.
     pub fn complete(&mut self, token: T) -> Vec<T> {
         if let Some(idx) = self.inflight.iter().position(|o| o.token == token) {
             self.inflight.swap_remove(idx);
+        } else if let Some(idx) = self.pending.iter().position(|o| o.token == token) {
+            self.pending.remove(idx);
         }
         let mut released = Vec::new();
         // Repeatedly promote the longest prefix of pending ops whose
@@ -221,6 +225,31 @@ mod tests {
         let mut d = DependencyTracker::new();
         assert!(d.submit(1u32, Write, vec![7]));
         assert!(!d.submit(2, Write, vec![7]));
+    }
+
+    #[test]
+    fn completing_a_queued_op_unblocks_its_pages() {
+        // A cancelled op completes while still queued behind a multi-page
+        // write. It must leave the queue: otherwise the write's completion
+        // releases it, and it holds its pages in flight forever.
+        let mut d = DependencyTracker::new();
+        assert!(d.submit(1u32, Write, vec![1, 2]));
+        assert!(!d.submit(2, Write, vec![2]), "queued behind the multi-page write");
+        assert_eq!(d.complete(2), Vec::<u32>::new(), "cancelled while queued");
+        assert_eq!(d.pending_len(), 0);
+        assert_eq!(d.complete(1), Vec::<u32>::new(), "nothing left to release");
+        assert!(d.is_drained());
+        assert!(d.submit(3, Write, vec![2]), "page 2 is free again");
+    }
+
+    #[test]
+    fn cancelling_a_queued_op_releases_ops_queued_behind_it() {
+        let mut d = DependencyTracker::new();
+        assert!(d.submit(1u32, Write, vec![1, 2]));
+        assert!(!d.submit(2, Write, vec![2, 3]));
+        assert!(!d.submit(3, Write, vec![3]), "queued behind op 2 on page 3");
+        assert_eq!(d.complete(2), vec![3], "op 3 only waited on op 2");
+        assert_eq!(d.inflight_len(), 2);
     }
 
     #[test]

@@ -393,13 +393,13 @@ enum BreakerState {
 /// Liveness bookkeeping toward one MN. Only attempt-level timeouts count
 /// against a board: a NACK (corruption) proves the board is alive and
 /// resets the streak just like a response does.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PeerHealth {
     consecutive_timeouts: u32,
     state: BreakerState,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Outstanding {
     token: XferToken,
     target: Mac,
@@ -423,7 +423,7 @@ struct Outstanding {
     trace: Option<TraceCtx>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct QueuedSend {
     token: XferToken,
     pid: Pid,
@@ -615,6 +615,40 @@ impl Transport {
             mutation: McMutation::None,
             tracer: Tracer::disabled(),
             track: Track::Cn(0),
+        }
+    }
+
+    /// A deep copy of this transport whose counters, gauge and tracer are
+    /// detached from the original's (for forking the host that owns it).
+    /// Pending timers keep their event ids, which stay valid in a forked
+    /// simulation.
+    pub fn fork(&self) -> Self {
+        Transport {
+            cfg: self.cfg,
+            next_req: self.next_req,
+            outstanding: self.outstanding.clone(),
+            payload_in_flight: self.payload_in_flight.clone(),
+            parked_conflicts: self.parked_conflicts.clone(),
+            queues: self.queues.clone(),
+            conflict_generations: self.conflict_generations.clone(),
+            cwnds: self.cwnds.clone(),
+            iwnd: self.iwnd,
+            reassembler: self.reassembler.clone(),
+            doorbells: self.doorbells.clone(),
+            last_submit: self.last_submit.clone(),
+            submit_gap_ewma: self.submit_gap_ewma.clone(),
+            retry_queues: self.retry_queues.clone(),
+            retry_doorbells: self.retry_doorbells.clone(),
+            retry_count: self.retry_count.detached(),
+            batch_frames: self.batch_frames.detached(),
+            batched_ops: self.batched_ops.detached(),
+            retry_frames: self.retry_frames.detached(),
+            health: self.health.clone(),
+            circuit_open_total: self.circuit_open_total.detached(),
+            peer_health: self.peer_health.detached(),
+            mutation: self.mutation,
+            tracer: self.tracer.detached(),
+            track: self.track,
         }
     }
 
@@ -878,7 +912,7 @@ impl Transport {
             let jitter_ns = (ctx.rng().f64() * (backoff.as_nanos() as f64 / 4.0)) as u64;
             ctx.schedule(
                 backoff + SimDuration::from_nanos(jitter_ns),
-                Message::new(TransportTimer::BreakerProbe(mn)),
+                Message::cloneable(TransportTimer::BreakerProbe(mn)),
             );
         }
     }
@@ -1042,14 +1076,14 @@ impl Transport {
         if let Some(&ev) = self.doorbells.get(&target) {
             if full {
                 ctx.cancel(ev);
-                let now_ev =
-                    ctx.schedule(SimDuration::ZERO, Message::new(TransportTimer::Pump(target)));
+                let now_ev = ctx
+                    .schedule(SimDuration::ZERO, Message::cloneable(TransportTimer::Pump(target)));
                 self.doorbells.insert(target, now_ev);
             }
             return;
         }
         let delay = if full { SimDuration::ZERO } else { self.doorbell_delay(target) };
-        let ev = ctx.schedule(delay, Message::new(TransportTimer::Pump(target)));
+        let ev = ctx.schedule(delay, Message::cloneable(TransportTimer::Pump(target)));
         self.doorbells.insert(target, ev);
     }
 
@@ -1108,8 +1142,8 @@ impl Transport {
                 // pumped by the next completion.
                 let at = cwnd.next_opportunity(now);
                 if at > now {
-                    let ev =
-                        ctx.schedule(at.since(now), Message::new(TransportTimer::Pump(target)));
+                    let ev = ctx
+                        .schedule(at.since(now), Message::cloneable(TransportTimer::Pump(target)));
                     self.doorbells.insert(target, ev);
                 }
                 break;
@@ -1198,13 +1232,13 @@ impl Transport {
         } else {
             let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
             let send_start = ctx.now() + self.cfg.send_overhead;
-            let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
+            let tx_end = nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt));
             self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
             self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
         }
         let timer = ctx.schedule(
             self.timeout_for(&blueprint, target),
-            Message::new(TransportTimer::Timeout(req_id)),
+            Message::cloneable(TransportTimer::Timeout(req_id)),
         );
         let expected_bytes = blueprint.expected_response_bytes();
         self.track(
@@ -1248,7 +1282,7 @@ impl Transport {
         }
         let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
         let send_start = ctx.now() + self.cfg.send_overhead;
-        let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
+        let tx_end = nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt));
         for trace in batch_traces.drain(..) {
             self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
             self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
@@ -1298,14 +1332,19 @@ impl Transport {
         let mut tx_end = send_start;
         for pkt in &packets {
             let wire = (codec::wire_len(pkt) + ETH_OVERHEAD_BYTES) as u32;
-            tx_end =
-                tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::new(pkt.clone())));
+            tx_end = tx_end.max(nic.send_at(
+                ctx,
+                send_start,
+                target,
+                wire,
+                Message::cloneable(pkt.clone()),
+            ));
         }
         self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
         self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
         let timer = ctx.schedule(
             self.timeout_for(&blueprint, target),
-            Message::new(TransportTimer::Timeout(req_id)),
+            Message::cloneable(TransportTimer::Timeout(req_id)),
         );
         self.track(
             req_id,
@@ -1597,7 +1636,10 @@ impl Transport {
                 } else {
                     let backoff =
                         self.cfg.conflict_backoff * (1 + o.conflict_retries.min(16) as u64);
-                    ctx.schedule(backoff, Message::new(TransportTimer::ConflictRetry(o.token)));
+                    ctx.schedule(
+                        backoff,
+                        Message::cloneable(TransportTimer::ConflictRetry(o.token)),
+                    );
                     self.parked_conflicts.insert(o.token, o);
                 }
             }
@@ -1628,14 +1670,14 @@ impl Transport {
         let retry_of = o.blueprint.is_non_idempotent().then_some(o.origin);
         let timer = ctx.schedule(
             self.timeout_for(&o.blueprint, o.target),
-            Message::new(TransportTimer::Timeout(new_id)),
+            Message::cloneable(TransportTimer::Timeout(new_id)),
         );
         self.reassembler.forget(prev_id);
         let target = o.target;
         self.track(new_id, Outstanding { attempt_sent_at: ctx.now(), timer: Some(timer), ..o });
         self.retry_queues.entry(target).or_default().push((new_id, retry_of));
         if self.retry_doorbells.insert(target) {
-            ctx.schedule(SimDuration::ZERO, Message::new(TransportTimer::RetryPump(target)));
+            ctx.schedule(SimDuration::ZERO, Message::cloneable(TransportTimer::RetryPump(target)));
         }
     }
 
@@ -1698,7 +1740,8 @@ impl Transport {
                     batch_traces.push(trace);
                 } else {
                     let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
-                    let tx_end = nic.send_at(ctx, send_start, target, wire, Message::new(pkt));
+                    let tx_end =
+                        nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt));
                     self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
                     self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
                     self.retry_frames.inc();
@@ -1717,7 +1760,7 @@ impl Transport {
                         send_start,
                         target,
                         wire,
-                        Message::new(pkt.clone()),
+                        Message::cloneable(pkt.clone()),
                     ));
                     self.retry_frames.inc();
                 }

@@ -1,7 +1,7 @@
 //! Full-system integration: clusters of async client tasks, cross-CN
 //! sharing, multi-MN placement and pressure-triggered migration.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -382,4 +382,46 @@ fn lost_faa_response_behind_own_bulk_writes_applies_once() {
     assert!(cluster.mn(0).stats().dedup_replays > 0, "no retry was answered from the dedup buffer");
     assert!(matches!(faa, Ok(CompletionValue::Old(0))), "faa returned {faa:?}");
     assert_eq!(after, 1, "the add took effect {after} times");
+}
+
+/// Regression: an op cancelled by its deadline while still queued behind a
+/// conflicting write must leave CLib's dependency tracker. It used to stay
+/// queued there; the blocking write's completion then released it into the
+/// tracker's in-flight set, where it held its page forever, so every later
+/// write to that page waited on it.
+#[test]
+fn op_cancelled_while_queued_does_not_block_its_page() {
+    let mut cluster = Cluster::build(&ClusterConfig::test_small());
+    let results = Rc::new(RefCell::new(Vec::new()));
+    let sink = results.clone();
+    cluster.spawn(0, Pid(21), move |h| async move {
+        let va = h.ralloc(64 << 10, Perm::RW).await.va();
+        let (big, queued) = (sink.clone(), sink.clone());
+        // A 64 KiB write holds the first page; a 64 B write to the same
+        // page queues behind it and is cancelled long before it dispatches.
+        let write = h.rwrite(va, Bytes::from(vec![1u8; 64 << 10]));
+        h.spawn(async move {
+            let r = write.await.result;
+            big.borrow_mut().push(("big", r));
+        });
+        let write =
+            h.with_deadline(h.rwrite(va, Bytes::from(vec![2u8; 64])), SimDuration::from_nanos(500));
+        h.spawn(async move {
+            let r = write.await.result;
+            queued.borrow_mut().push(("queued", r));
+        });
+        h.sleep(SimDuration::from_micros(200)).await;
+        let c = h
+            .with_deadline(h.rwrite(va, Bytes::from(vec![3u8; 64])), SimDuration::from_millis(5))
+            .await;
+        sink.borrow_mut().push(("later", c.result));
+    });
+    cluster.start();
+    cluster.run_until_idle();
+
+    let results = results.borrow();
+    let get = |k| results.iter().find(|(n, _)| *n == k).map(|(_, r)| r.clone());
+    assert!(matches!(get("big"), Some(Ok(_))), "64 KiB write: {:?}", get("big"));
+    assert_eq!(get("queued"), Some(Err(clio_cn::ClioError::DeadlineExceeded)));
+    assert!(matches!(get("later"), Some(Ok(_))), "write after the cancel: {:?}", get("later"));
 }

@@ -37,6 +37,19 @@ pub struct DedupBuffer {
     hits: u64,
 }
 
+/// A clone holds only the remembered records, not the capacity reserved
+/// up front, so forking a board stays cheap.
+impl Clone for DedupBuffer {
+    fn clone(&self) -> Self {
+        DedupBuffer {
+            order: self.order.clone(),
+            records: self.records.iter().map(|(&id, &r)| (id, r)).collect(),
+            capacity_entries: self.capacity_entries,
+            hits: self.hits,
+        }
+    }
+}
+
 impl DedupBuffer {
     /// A buffer of `capacity_bytes / entry_bytes` entries (the paper's
     /// sizing rule).

@@ -14,7 +14,7 @@ use bytes::{Bytes, BytesMut};
 const CHUNK: u64 = 4096;
 
 /// Byte-addressable physical memory of one memory node.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
     chunks: HashMap<u64, Box<[u8]>>,
     resident_bytes: u64,

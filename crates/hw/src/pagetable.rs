@@ -11,6 +11,8 @@
 //! (see `clio_mn::valloc`); [`HashPageTable::can_insert_all`] is the check it
 //! uses.
 
+use std::rc::Rc;
+
 use clio_proto::{Perm, Pid};
 
 use crate::hash::bucket_of;
@@ -61,9 +63,12 @@ impl std::fmt::Display for PageTableError {
 impl std::error::Error for PageTableError {}
 
 /// The flat hash page table.
+///
+/// Clones share the bucket array until one of them writes (copy on
+/// write), so forking a board whose mappings do not change is cheap.
 #[derive(Debug, Clone)]
 pub struct HashPageTable {
-    buckets: Vec<Vec<Pte>>, // each inner Vec holds at most `slots_per_bucket`
+    buckets: Rc<Vec<Vec<Pte>>>, // each inner Vec holds at most `slots_per_bucket`
     slots_per_bucket: usize,
     occupied: usize,
 }
@@ -76,7 +81,7 @@ impl HashPageTable {
     /// Panics if either dimension is zero.
     pub fn new(buckets: usize, slots_per_bucket: usize) -> Self {
         assert!(buckets > 0 && slots_per_bucket > 0, "degenerate page table");
-        HashPageTable { buckets: vec![Vec::new(); buckets], slots_per_bucket, occupied: 0 }
+        HashPageTable { buckets: Rc::new(vec![Vec::new(); buckets]), slots_per_bucket, occupied: 0 }
     }
 
     /// Number of buckets.
@@ -117,7 +122,7 @@ impl HashPageTable {
     /// Mutable lookup (fast path marks entries valid on page faults).
     pub fn lookup_mut(&mut self, pid: Pid, vpn: u64) -> Option<&mut Pte> {
         let b = self.bucket_index(pid, vpn);
-        self.buckets[b].iter_mut().find(|p| p.pid == pid && p.vpn == vpn)
+        Rc::make_mut(&mut self.buckets)[b].iter_mut().find(|p| p.pid == pid && p.vpn == vpn)
     }
 
     /// Inserts a new PTE.
@@ -128,7 +133,7 @@ impl HashPageTable {
     /// [`PageTableError::Duplicate`] if the mapping already exists.
     pub fn insert(&mut self, pte: Pte) -> Result<(), PageTableError> {
         let b = self.bucket_index(pte.pid, pte.vpn);
-        let bucket = &mut self.buckets[b];
+        let bucket = &mut Rc::make_mut(&mut self.buckets)[b];
         if bucket.iter().any(|p| p.pid == pte.pid && p.vpn == pte.vpn) {
             return Err(PageTableError::Duplicate);
         }
@@ -143,7 +148,7 @@ impl HashPageTable {
     /// Removes and returns the PTE for `(pid, vpn)`.
     pub fn remove(&mut self, pid: Pid, vpn: u64) -> Option<Pte> {
         let b = self.bucket_index(pid, vpn);
-        let bucket = &mut self.buckets[b];
+        let bucket = &mut Rc::make_mut(&mut self.buckets)[b];
         let idx = bucket.iter().position(|p| p.pid == pid && p.vpn == vpn)?;
         self.occupied -= 1;
         Some(bucket.swap_remove(idx))

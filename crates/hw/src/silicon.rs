@@ -181,6 +181,32 @@ pub struct Silicon {
 }
 
 impl Silicon {
+    /// A deep copy of this datapath whose counters are detached from the
+    /// original's (for forking the board that owns it).
+    pub fn fork(&self) -> Self {
+        let m = &self.stats;
+        Silicon {
+            cfg: self.cfg.clone(),
+            vm: self.vm.clone(),
+            mem: self.mem.clone(),
+            dram: self.dram.clone(),
+            gate: self.gate,
+            dma: self.dma,
+            atomic_unit: self.atomic_unit,
+            dedup: self.dedup.clone(),
+            internal_access: self.internal_access,
+            ingress_frame: self.ingress_frame,
+            egress_frame: self.egress_frame,
+            stats: SiliconMetrics {
+                reads: m.reads.detached(),
+                writes: m.writes.detached(),
+                atomics: m.atomics.detached(),
+                read_bytes: m.read_bytes.detached(),
+                write_bytes: m.write_bytes.detached(),
+            },
+        }
+    }
+
     /// Builds a board from its hardware configuration.
     pub fn new(cfg: CBoardHwConfig) -> Self {
         cfg.validate();

@@ -32,22 +32,33 @@
 //! requests in flight but nothing pending anywhere is reported as a
 //! deadlock.
 //!
+//! # Expansion
+//!
+//! Each child node starts from a [`Simulation::fork`](clio_sim::Simulation::fork)
+//! of its parent's settled run: the child applies its one action and
+//! settles once, instead of rebuilding the scenario and replaying every
+//! action before it. The last child takes the parent's run itself. The
+//! search keeps only the schedule of each node; the narrated trace of a
+//! reported violation is built by replaying that schedule. [`replay`]
+//! rebuilds every state from scratch, so it doubles as the oracle the
+//! fork-based search is tested against.
+//!
 //! # Pruning
 //!
 //! States are fingerprinted over **logical** protocol state only
 //! (transport + board fingerprints, wire contents, completions) — absolute
 //! times and EWMAs are excluded, so runs that differ only in when things
-//! happened collapse into one state. A state is re-explored only if
-//! reached with strictly more depth or fault budget remaining than every
-//! earlier visit.
+//! happened collapse into one state. Packets and completion results are
+//! hashed structurally. A state is re-explored only if reached with
+//! strictly more depth or fault budget remaining than every earlier visit.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use clio_cn::transport::McMutation;
-use clio_net::Frame;
 use clio_proto::ClioPacket;
-use clio_sim::{Message, SimDuration};
+use clio_sim::{SimDuration, TryClone};
 
 use crate::harness::{Framing, Outcome, Scenario};
 
@@ -138,15 +149,16 @@ impl Default for McConfig {
         McConfig {
             // Depth 9 is the shortest bound that rediscovers the
             // retry-chain dedup bug this checker caught during development
-            // (see `crates/cn/tests/mc_regressions.rs`): ~90 s in release,
-            // ~1.1 M distinct states.
-            max_depth: 9,
+            // (see `crates/cn/tests/mc_regressions.rs`). The default runs
+            // one level deeper: ~3.4 M distinct states and ~5.6 M nodes,
+            // ~52 s in release.
+            max_depth: 10,
             fault_budget: 2,
             crash_budget: 0,
             mutation: McMutation::None,
             max_retries: 16,
             settle_horizon: SimDuration::from_micros(20),
-            max_nodes: 5_000_000,
+            max_nodes: 20_000_000,
             mns: 1,
         }
     }
@@ -182,7 +194,8 @@ impl fmt::Display for Violation {
 pub struct McReport {
     /// Distinct logical states visited (after pruning).
     pub distinct_states: usize,
-    /// Search-tree nodes expanded (prefix replays executed).
+    /// Search-tree nodes visited (the root, plus one per action applied to
+    /// a fork of its parent).
     pub nodes: u64,
     /// Runs that reached quiescence and passed the final equivalence
     /// checks.
@@ -211,13 +224,16 @@ struct Run {
     /// Board power-blips applied so far (selects the relaxed at-least-once
     /// outcome check at quiescence).
     crashes: u32,
-    /// Narration of the applied actions.
-    trace: Vec<String>,
+    /// Narration of the applied actions: kept only when replaying a
+    /// schedule ([`replay`], or a reported violation), `None` during the
+    /// search.
+    trace: Option<Vec<String>>,
 }
 
 impl Run {
-    /// Builds the scenario and settles to the first decision point.
-    fn start(cfg: &McConfig) -> Result<Run, String> {
+    /// Builds the scenario and settles to the first decision point,
+    /// narrating every later action if `narrate` is set.
+    fn start(cfg: &McConfig, narrate: bool) -> Result<Run, String> {
         let scenario = Scenario::new_with(Framing::Batched, cfg.mutation, cfg.max_retries, cfg.mns);
         let mut run = Run {
             scenario,
@@ -226,59 +242,70 @@ impl Run {
             synthetic: HashSet::new(),
             scanned_up_to: 0,
             crashes: 0,
-            trace: Vec::new(),
+            trace: narrate.then(Vec::new),
         };
         run.settle_and_check()?;
         Ok(run)
     }
 
+    /// A deep copy of this run, which continues independently of it.
+    fn fork(&self) -> Run {
+        Run {
+            scenario: self.scenario.fork(),
+            horizon: self.horizon,
+            seen_req_ids: self.seen_req_ids.clone(),
+            synthetic: self.synthetic.clone(),
+            scanned_up_to: self.scanned_up_to,
+            crashes: self.crashes,
+            trace: self.trace.clone(),
+        }
+    }
+
     /// Applies one action, settles, and checks the per-state invariants.
     /// `Err` carries the violation message.
     fn apply(&mut self, action: McAction) -> Result<(), String> {
+        if let Some(mut trace) = self.trace.take() {
+            trace.push(self.narrate(action));
+            self.trace = Some(trace);
+        }
         match action {
-            McAction::Deliver(i) => {
-                self.trace.push(format!("Deliver({i}): {}", self.describe(i)));
-                self.scenario.deliver(i);
-            }
+            McAction::Deliver(i) => self.scenario.deliver(i),
             McAction::Corrupt(i) => {
-                self.trace.push(format!("Corrupt({i}): {}", self.describe(i)));
                 self.scenario.wire_mut().corrupt(i);
                 self.scenario.deliver(i);
             }
             McAction::Drop(i) => {
-                self.trace.push(format!("Drop({i}): {}", self.describe(i)));
                 self.scenario.wire_mut().take(i);
             }
             McAction::Duplicate(i) => {
-                self.trace.push(format!("Duplicate({i}): {}", self.describe(i)));
-                let wire = self.scenario.wire();
-                let src_frame = &wire.pending()[i].frame;
-                let pkt = src_frame
-                    .payload
-                    .downcast_ref::<ClioPacket>()
-                    .expect("wire carries ClioPackets")
-                    .clone();
-                let mut copy = Frame::new(
-                    src_frame.src,
-                    src_frame.dst,
-                    src_frame.wire_bytes,
-                    Message::new(pkt),
-                );
-                copy.corrupted = src_frame.corrupted;
+                let copy = self.scenario.wire().pending()[i]
+                    .frame
+                    .try_clone()
+                    .expect("the scenario's frames are cloneable");
                 let seq = self.scenario.wire_mut().inject(copy);
                 self.synthetic.insert(seq);
             }
             McAction::FireTimer => {
-                self.trace.push("FireTimer: run next event past the horizon".into());
                 self.scenario.sim.step();
             }
             McAction::CrashBoard => {
-                self.trace.push("CrashBoard: power-blip the board (volatile state lost)".into());
                 self.crashes += 1;
                 self.scenario.power_blip();
             }
         }
         self.settle_and_check()
+    }
+
+    /// One-line narration of `action` about to be applied.
+    fn narrate(&self, action: McAction) -> String {
+        match action {
+            McAction::Deliver(i)
+            | McAction::Corrupt(i)
+            | McAction::Drop(i)
+            | McAction::Duplicate(i) => format!("{action}: {}", self.describe(i)),
+            McAction::FireTimer => "FireTimer: run next event past the horizon".into(),
+            McAction::CrashBoard => "CrashBoard: power-blip the board (volatile state lost)".into(),
+        }
     }
 
     /// Runs every event within the (sliding) settle horizon, then checks
@@ -357,33 +384,26 @@ impl Run {
     /// completions. Absolute times are excluded (see the module docs on
     /// pruning).
     fn state_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv::default();
         // Crash count is part of the logical state: a post-blip state with
         // a cold dedup buffer is checked against a different (relaxed)
         // quiescent spec than its crash-free twin, so they must not prune
         // into one node.
-        h = mix(h, self.crashes as u64);
-        h = mix(h, self.scenario.host().clib().transport().fingerprint());
-        h = mix(h, self.scenario.host().clib().in_flight() as u64);
-        for fp in self.scenario.board_fingerprints() {
-            h = mix(h, fp);
+        self.crashes.hash(&mut h);
+        let host = self.scenario.host();
+        host.clib().transport().fingerprint().hash(&mut h);
+        host.clib().in_flight().hash(&mut h);
+        for i in 0..self.scenario.boards.len() {
+            self.scenario.cboard_at(i).fingerprint().hash(&mut h);
         }
         for c in self.scenario.wire().pending() {
-            h = mix(h, c.frame.src.0 as u64);
-            h = mix(h, c.frame.dst.0 as u64);
-            h = mix(h, c.frame.corrupted as u64);
-            // ClioPacket has no Hash impl; its Debug form is a faithful,
-            // deterministic rendering of the packet content, so hash that.
-            match c.frame.payload.downcast_ref::<ClioPacket>() {
-                Some(pkt) => h = mix_str(h, &format!("{pkt:?}")),
-                None => h = mix(h, u64::MAX),
-            }
+            (c.frame.src, c.frame.dst, c.frame.corrupted).hash(&mut h);
+            c.frame.payload.downcast_ref::<ClioPacket>().hash(&mut h);
         }
-        for comp in self.scenario.host().completions() {
-            h = mix(h, comp.token.0);
-            h = mix_str(h, &format!("{:?}", comp.result));
+        for comp in host.completions() {
+            (comp.token, &comp.result).hash(&mut h);
         }
-        h
+        h.finish()
     }
 
     /// Final checks at quiescence: completion-count, observational
@@ -500,22 +520,26 @@ impl Run {
     }
 }
 
-/// FNV-1a step over one `u64`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// FNV-1a: a fast, deterministic hasher for state fingerprints.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
 }
 
-/// FNV-1a over a string's bytes.
-fn mix_str(mut h: u64, s: &str) -> u64 {
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
-    h
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Runs the fault-free, unbatched baseline to completion and returns its
@@ -554,14 +578,17 @@ pub fn baseline_outcome(cfg: &McConfig) -> Outcome {
 /// along the way, and — if the run reaches quiescence — the final
 /// equivalence checks against the baseline. `Ok(())` means the schedule
 /// completes without violation (it need not reach quiescence).
+///
+/// This rebuilds every state from scratch, independently of the search's
+/// forks, so it doubles as the oracle the search is tested against.
 pub fn replay(cfg: &McConfig, schedule: &[McAction]) -> Result<(), Violation> {
     let baseline = baseline_outcome(cfg);
-    let violation = |run: &Run, message: String, schedule: &[McAction]| Violation {
+    let violation = |run: Run, message: String, schedule: &[McAction]| Violation {
         message,
         schedule: schedule.to_vec(),
-        trace: run.trace.clone(),
+        trace: run.trace.unwrap_or_default(),
     };
-    let mut run = match Run::start(cfg) {
+    let mut run = match Run::start(cfg, true) {
         Ok(r) => r,
         Err(msg) => {
             return Err(Violation { message: msg, schedule: vec![], trace: vec![] });
@@ -569,15 +596,28 @@ pub fn replay(cfg: &McConfig, schedule: &[McAction]) -> Result<(), Violation> {
     };
     for (i, &a) in schedule.iter().enumerate() {
         if let Err(msg) = run.apply(a) {
-            return Err(violation(&run, msg, &schedule[..=i]));
+            return Err(violation(run, msg, &schedule[..=i]));
         }
     }
     if run.scenario.quiescent() {
         if let Err(msg) = run.check_quiescent(&baseline) {
-            return Err(violation(&run, msg, schedule));
+            return Err(violation(run, msg, schedule));
         }
     }
     Ok(())
+}
+
+/// Narrates `schedule` by replaying it with narration on, up to and
+/// including its first failing action. The search keeps only schedules
+/// and narrates just the one it reports.
+fn narrate(cfg: &McConfig, schedule: &[McAction]) -> Vec<String> {
+    let Ok(mut run) = Run::start(cfg, true) else { return Vec::new() };
+    for &a in schedule {
+        if run.apply(a).is_err() {
+            break;
+        }
+    }
+    run.trace.unwrap_or_default()
 }
 
 /// Search bookkeeping shared across the recursion.
@@ -590,6 +630,24 @@ struct Search<'a> {
     nodes: u64,
     quiescent_runs: u64,
     truncated: bool,
+}
+
+impl Search<'_> {
+    /// Counts one more node; `false` (and the search is truncated) once
+    /// the node cap is reached.
+    fn count_node(&mut self) -> bool {
+        if self.nodes >= self.cfg.max_nodes {
+            self.truncated = true;
+            return false;
+        }
+        self.nodes += 1;
+        true
+    }
+
+    /// The reported violation for `schedule`, narrated by a replay.
+    fn violation(&self, message: String, schedule: &[McAction]) -> Violation {
+        Violation { message, schedule: schedule.to_vec(), trace: narrate(self.cfg, schedule) }
+    }
 }
 
 /// Explores every schedule within the configured bounds. Returns the
@@ -605,7 +663,14 @@ pub fn explore(cfg: &McConfig) -> McReport {
         truncated: false,
     };
     let mut schedule = Vec::new();
-    let violation = dfs(&mut search, &mut schedule, 0, 0);
+    let violation = if search.count_node() {
+        match Run::start(cfg, false) {
+            Ok(root) => expand(&mut search, root, &mut schedule, 0, 0),
+            Err(msg) => Some(search.violation(msg, &schedule)),
+        }
+    } else {
+        None
+    };
     McReport {
         distinct_states: search.visited.len(),
         nodes: search.nodes,
@@ -615,36 +680,17 @@ pub fn explore(cfg: &McConfig) -> McReport {
     }
 }
 
-/// Expands the node reached by `schedule` (replaying it from scratch —
-/// the simulation is not cloneable, and replays are cheap at these
-/// depths), then recurses into every affordable action.
-fn dfs(
+/// Expands the settled node `run`, reached by `schedule`: prunes it or
+/// checks it, then visits every affordable child. Each child is a fork of
+/// `run` with one more action applied (the last child takes `run` itself),
+/// so a node costs one fork, one action and one settle.
+fn expand(
     search: &mut Search<'_>,
+    mut run: Run,
     schedule: &mut Vec<McAction>,
     faults_used: u32,
     crashes_used: u32,
 ) -> Option<Violation> {
-    if search.nodes >= search.cfg.max_nodes {
-        search.truncated = true;
-        return None;
-    }
-    search.nodes += 1;
-    let mut run = match Run::start(search.cfg) {
-        Ok(r) => r,
-        Err(msg) => {
-            return Some(Violation { message: msg, schedule: schedule.clone(), trace: vec![] })
-        }
-    };
-    for (i, &a) in schedule.iter().enumerate() {
-        if let Err(msg) = run.apply(a) {
-            return Some(Violation {
-                message: msg,
-                schedule: schedule[..=i].to_vec(),
-                trace: run.trace.clone(),
-            });
-        }
-    }
-
     // Prune: skip unless this visit has strictly more depth or fault
     // budget remaining than every earlier visit of the same state.
     let h = run.state_hash();
@@ -660,11 +706,7 @@ fn dfs(
 
     if run.scenario.quiescent() {
         if let Err(msg) = run.check_quiescent(&search.baseline) {
-            return Some(Violation {
-                message: msg,
-                schedule: schedule.clone(),
-                trace: run.trace.clone(),
-            });
+            return Some(search.violation(msg, schedule));
         }
         search.quiescent_runs += 1;
         return None;
@@ -673,22 +715,18 @@ fn dfs(
     let pending_frames = run.scenario.wire().len();
     let timer_pending = run.scenario.sim.peek_next_event_time().is_some();
     if pending_frames == 0 && !timer_pending && run.scenario.host().clib().in_flight() > 0 {
-        return Some(Violation {
-            message: format!(
-                "deadlock: {} ops in flight but no frame, timer, or event pending",
-                run.scenario.host().clib().in_flight()
-            ),
-            schedule: schedule.clone(),
-            trace: run.trace.clone(),
-        });
+        let message = format!(
+            "deadlock: {} ops in flight but no frame, timer, or event pending",
+            run.scenario.host().clib().in_flight()
+        );
+        return Some(search.violation(message, schedule));
     }
     if depth >= search.cfg.max_depth {
         return None;
     }
 
-    // Enumerate children. The run itself cannot be reused across children
-    // (each child mutates it), so collect the action list first. Each
-    // entry carries its (fault cost, crash cost).
+    // Enumerate the affordable children, each with its (fault cost, crash
+    // cost).
     let mut actions: Vec<(McAction, u32, u32)> = Vec::new();
     for i in 0..pending_frames {
         let reorders = run.scenario.wire().delivery_reorders(i);
@@ -703,20 +741,44 @@ fn dfs(
         actions.push((McAction::FireTimer, 0, 0));
     }
     actions.push((McAction::CrashBoard, 0, 1));
-    drop(run);
+    actions.retain(|&(_, cost, crash_cost)| {
+        faults_used + cost <= search.cfg.fault_budget
+            && crashes_used + crash_cost <= search.cfg.crash_budget
+    });
 
-    for (action, cost, crash_cost) in actions {
-        if faults_used + cost > search.cfg.fault_budget
-            || crashes_used + crash_cost > search.cfg.crash_budget
-        {
-            continue;
+    let mut parent = Some(run);
+    for (k, &child) in actions.iter().enumerate() {
+        if !search.count_node() {
+            return None;
         }
-        schedule.push(action);
-        let v = dfs(search, schedule, faults_used + cost, crashes_used + crash_cost);
-        schedule.pop();
+        let run = if k + 1 < actions.len() {
+            parent.as_ref().expect("only the last child takes the parent").fork()
+        } else {
+            parent.take().expect("only the last child takes the parent")
+        };
+        let v = visit(search, run, child, schedule, faults_used, crashes_used);
         if v.is_some() {
             return v;
         }
     }
     None
+}
+
+/// Applies `action` (with its fault and crash cost) to `run`, a copy of
+/// the node `schedule` reached, and expands the resulting child.
+fn visit(
+    search: &mut Search<'_>,
+    mut run: Run,
+    (action, cost, crash_cost): (McAction, u32, u32),
+    schedule: &mut Vec<McAction>,
+    faults_used: u32,
+    crashes_used: u32,
+) -> Option<Violation> {
+    schedule.push(action);
+    let v = match run.apply(action) {
+        Ok(()) => expand(search, run, schedule, faults_used + cost, crashes_used + crash_cost),
+        Err(msg) => Some(search.violation(msg, schedule)),
+    };
+    schedule.pop();
+    v
 }

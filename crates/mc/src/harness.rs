@@ -79,6 +79,7 @@ pub enum Framing {
 }
 
 /// Submission message for the CN host actor.
+#[derive(Clone)]
 struct Submit {
     op: Op,
 }
@@ -107,6 +108,14 @@ impl McCnHost {
 impl Actor for McCnHost {
     fn name(&self) -> &str {
         "mc-cn-host"
+    }
+
+    fn fork(&self) -> Option<Box<dyn Actor>> {
+        Some(Box::new(McCnHost {
+            nic: self.nic.clone(),
+            clib: self.clib.fork()?,
+            completions: self.completions.clone(),
+        }))
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -202,13 +211,13 @@ impl Scenario {
             // into one Batch frame under the batched framing.
             sim.post(
                 cn,
-                Message::new(Submit {
+                Message::cloneable(Submit {
                     op: Op::Read { mn: MN_MAC, pid: PID, va: VA_READ, len: READ_LEN },
                 }),
             );
             sim.post(
                 cn,
-                Message::new(Submit {
+                Message::cloneable(Submit {
                     op: Op::Faa { mn: MN_MAC, pid: PID, va: VA_FAA, delta: FAA_DELTA },
                 }),
             );
@@ -219,13 +228,25 @@ impl Scenario {
             for i in 0..mns {
                 sim.post(
                     cn,
-                    Message::new(Submit {
+                    Message::cloneable(Submit {
                         op: Op::Read { mn: mn_mac(i), pid: PID, va: va_read(i), len: READ_LEN },
                     }),
                 );
             }
         }
         Scenario { sim, wire, cn, boards }
+    }
+
+    /// A deep copy of the scenario: the forked simulation continues
+    /// exactly as the original would, independently of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the culprit, if an actor or a queued message cannot
+    /// be copied; every actor and message of the scenario is built to be.
+    pub fn fork(&self) -> Scenario {
+        let sim = self.sim.fork().unwrap_or_else(|e| panic!("cannot fork the scenario: {e}"));
+        Scenario { sim, wire: self.wire, cn: self.cn, boards: self.boards.clone() }
     }
 
     /// The wire, read-only.
@@ -254,12 +275,6 @@ impl Scenario {
         self.sim.actor::<CBoard>(self.boards[i])
     }
 
-    /// Logical fingerprint of every board, in board order (the explorer
-    /// folds these into its state hash).
-    pub fn board_fingerprints(&self) -> Vec<u64> {
-        (0..self.boards.len()).map(|i| self.cboard_at(i).fingerprint()).collect()
-    }
-
     /// Power-blips board 0: posts a [`BoardPower::Crash`] immediately
     /// followed by a [`BoardPower::Restart`], so the next settle loses the
     /// board's volatile state (dedup buffer, egress queues, pending
@@ -267,8 +282,8 @@ impl Scenario {
     /// survive. Frames already captured on the wire are untouched — they
     /// belong to the network, not the board.
     pub fn power_blip(&mut self) {
-        self.sim.post(self.boards[0], Message::new(BoardPower::Crash));
-        self.sim.post(self.boards[0], Message::new(BoardPower::Restart));
+        self.sim.post(self.boards[0], Message::cloneable(BoardPower::Crash));
+        self.sim.post(self.boards[0], Message::cloneable(BoardPower::Restart));
     }
 
     /// Removes pending frame `index` from the wire and posts it to its
@@ -276,7 +291,7 @@ impl Scenario {
     pub fn deliver(&mut self, index: usize) {
         let frame = self.wire_mut().take(index);
         let dst = self.wire().endpoint(frame.dst).expect("destination attached");
-        self.sim.post(dst, Message::new(frame));
+        self.sim.post(dst, Message::cloneable(frame));
     }
 
     /// True when the run is over: no frame in flight, no operation in

@@ -15,6 +15,7 @@
 //!   replaced by an explorer-chosen schedule,
 //! * [`explorer`] — depth-first search over [`McAction`] schedules
 //!   (deliver / reorder / corrupt / drop / duplicate / fire-timer), with
+//!   each node expanded from a fork of its parent's simulation,
 //!   state-fingerprint pruning and per-state invariant checks,
 //! * counterexamples — a failing search returns the exact [`Violation`]
 //!   schedule, replayable with [`replay`] as a deterministic regression

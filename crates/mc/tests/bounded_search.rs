@@ -9,12 +9,52 @@
 //!    deterministic schedule,
 //! 3. the checker has teeth — a planted transport bug is caught, and the
 //!    counterexample it prints replays to the same violation.
+//!
+//! The search expands each node from a fork of its parent. The search
+//! sizes below were measured with the explorer this replaced, which
+//! rebuilt the scenario and replayed the whole prefix at every node: the
+//! fork-based search must visit exactly the same tree.
 
 use clio_cn::transport::McMutation;
-use clio_mc::{explore, replay, McAction, McConfig};
+use clio_mc::{explore, replay, McAction, McConfig, McReport};
 use clio_sim::SimDuration;
 
 use McAction::{Corrupt, Deliver, Drop, Duplicate, FireTimer};
+
+/// `(distinct states, nodes, quiescent runs)` of one bounded search.
+type Size = (usize, u64, u64);
+
+/// Depth 5, two faults (the perfbench search).
+const DEPTH5: Size = (6_823, 10_407, 3);
+/// Depth 6, two faults.
+const DEPTH6: Size = (28_800, 45_223, 5);
+/// Depth 6, two faults, one board crash.
+const DEPTH6_CRASH: Size = (41_344, 70_125, 14);
+/// Two boards, depth 5, one fault.
+const TWO_MN: Size = (3_322, 4_894, 3);
+/// One board, depth 5, one fault.
+const ONE_MN_ONE_FAULT: Size = (1_117, 1_528, 2);
+/// Depth 8, no faults.
+const FAULT_FREE: Size = (513, 770, 2);
+
+fn assert_size(report: &McReport, expected: Size) {
+    assert!(!report.truncated, "search hit the node cap; not exhaustive");
+    assert_eq!(
+        (report.distinct_states, report.nodes, report.quiescent_runs),
+        expected,
+        "the fork-based search visited a different tree than the replay-based one"
+    );
+}
+
+/// The perfbench-sized search visits exactly the replay-based tree.
+#[test]
+fn fork_expansion_visits_the_replay_search_tree() {
+    let report = explore(&McConfig { max_depth: 5, ..McConfig::default() });
+    if let Some(v) = &report.violation {
+        panic!("{v}");
+    }
+    assert_size(&report, DEPTH5);
+}
 
 /// CI-sized clean search: the full schedule tree to depth 6 with two
 /// injected faults. Must be exhaustive (not truncated), sizeable (the
@@ -23,16 +63,16 @@ use McAction::{Corrupt, Deliver, Drop, Duplicate, FireTimer};
 fn bounded_search_of_the_real_transport_is_clean() {
     let cfg = McConfig { max_depth: 6, ..McConfig::default() };
     let report = explore(&cfg);
-    assert!(!report.truncated, "search hit the node cap; not exhaustive");
+    if let Some(v) = &report.violation {
+        panic!("{v}");
+    }
+    assert_size(&report, DEPTH6);
     assert!(
         report.distinct_states >= 10_000,
         "only {} distinct states — scenario degenerated?",
         report.distinct_states
     );
     assert!(report.quiescent_runs > 0, "no schedule reached quiescence");
-    if let Some(v) = report.violation {
-        panic!("{v}");
-    }
 }
 
 /// Every fault type on one deterministic schedule: the batch is
@@ -85,8 +125,14 @@ fn planted_window_leak_is_caught_and_replays() {
     let report = explore(&cfg);
     let v = report.violation.expect("planted window leak must be caught");
     assert!(v.message.contains("leaked"), "expected a window-leak violation, got: {}", v.message);
+    // The replay-based explorer found the same counterexample.
+    assert_eq!(v.schedule, [Deliver(0), Corrupt(0), FireTimer, Corrupt(0), Deliver(1)]);
     let replayed = replay(&cfg, &v.schedule).expect_err("counterexample must replay");
     assert_eq!(replayed.message, v.message, "replay diverged from the search");
+    // The reported narration is the replay's, one line per action.
+    assert_eq!(v.trace, replayed.trace);
+    assert_eq!(v.trace.len(), v.schedule.len());
+    assert!(v.trace[1].starts_with("Corrupt(0): BatchResp"), "{}", v.trace[1]);
 }
 
 /// A bounded search with one board power-blip in the budget: every
@@ -100,20 +146,14 @@ fn planted_window_leak_is_caught_and_replays() {
 fn one_crash_schedules_of_the_two_op_exchange_stay_clean() {
     let cfg = McConfig { max_depth: 6, crash_budget: 1, ..McConfig::default() };
     let report = explore(&cfg);
-    assert!(!report.truncated, "search hit the node cap; not exhaustive");
     assert!(report.quiescent_runs > 0, "no crash schedule reached quiescence");
-    if let Some(v) = report.violation {
+    if let Some(v) = &report.violation {
         panic!("{v}");
     }
+    assert_size(&report, DEPTH6_CRASH);
     // The crash budget genuinely widens the search: the same bounds
     // without it visit strictly fewer states.
-    let without = explore(&McConfig { max_depth: 6, crash_budget: 0, ..McConfig::default() });
-    assert!(
-        report.distinct_states > without.distinct_states,
-        "crash budget added no states ({} vs {})",
-        report.distinct_states,
-        without.distinct_states
-    );
+    assert!(DEPTH6_CRASH.0 > DEPTH6.0, "crash budget added no states");
 }
 
 /// A deterministic crash schedule pinning the at-least-once relaxation:
@@ -153,22 +193,18 @@ fn crash_after_execution_reexecutes_faa_within_spec() {
 fn two_mn_bounded_search_is_clean() {
     let cfg = McConfig { mns: 2, max_depth: 5, fault_budget: 1, ..McConfig::default() };
     let report = explore(&cfg);
-    assert!(!report.truncated, "search hit the node cap; not exhaustive");
     assert!(report.quiescent_runs > 0, "no two-MN schedule reached quiescence");
-    if let Some(v) = report.violation {
+    if let Some(v) = &report.violation {
         panic!("{v}");
     }
+    assert_size(&report, TWO_MN);
     // The second board genuinely widens the search at identical bounds:
     // the single-MN scenario coalesces both ops into one frame, the
     // two-MN one keeps a frame in flight per destination.
     let single =
         explore(&McConfig { mns: 1, max_depth: 5, fault_budget: 1, ..McConfig::default() });
-    assert!(
-        report.distinct_states > single.distinct_states,
-        "second board added no states ({} vs {})",
-        report.distinct_states,
-        single.distinct_states
-    );
+    assert_size(&single, ONE_MN_ONE_FAULT);
+    assert!(TWO_MN.0 > ONE_MN_ONE_FAULT.0, "second board added no states");
 }
 
 /// Deterministic two-MN dedup check: duplicate each board's request frame
@@ -213,8 +249,8 @@ fn fault_free_delivery_orders_are_clean() {
         ..McConfig::default()
     };
     let report = explore(&cfg);
-    assert!(!report.truncated);
-    if let Some(v) = report.violation {
+    if let Some(v) = &report.violation {
         panic!("{v}");
     }
+    assert_size(&report, FAULT_FREE);
 }

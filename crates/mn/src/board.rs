@@ -162,7 +162,7 @@ struct BoardMetrics {
     dropped_while_down: Counter,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingWrite {
     remaining: u16,
     done: SimTime,
@@ -177,7 +177,7 @@ struct PendingWrite {
 
 /// TTL-bounded tracker for multi-packet writes (the "slim layer for handling
 /// corner-case requests" of §4.4 — bounded by in-flight data, not clients).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct WriteTracker {
     pending: HashMap<ReqId, PendingWrite>,
     order: VecDeque<(SimTime, ReqId)>,
@@ -220,7 +220,7 @@ impl std::fmt::Debug for InstalledOffload {
 
 /// One packet awaiting egress: `ready` is the board timestamp at which the
 /// datapath finishes producing it (the earliest it may leave the NIC).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct EgressEntry {
     ready: SimTime,
     pkt: ClioPacket,
@@ -237,14 +237,14 @@ struct EgressDoorbell {
     dst: Mac,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OutMigration {
     dst: Mac,
     len: u64,
     vpns: Vec<u64>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InMigration {
     received_vpns: Vec<u64>,
 }
@@ -619,7 +619,8 @@ impl CBoard {
                 if let Some(&(_, ev)) = prior {
                     ctx.cancel(ev);
                 }
-                let ev = ctx.schedule(fire.since(ctx.now()), Message::new(EgressDoorbell { dst }));
+                let ev =
+                    ctx.schedule(fire.since(ctx.now()), Message::cloneable(EgressDoorbell { dst }));
                 self.egress_doorbells.insert(dst, (fire, ev));
             }
         }
@@ -767,7 +768,7 @@ impl CBoard {
         flush(&mut batch, &mut batch_traces, frame_ready, &mut shipped);
         if let Some(head) = queue.front() {
             let at = head.ready;
-            let ev = ctx.schedule(at.since(now), Message::new(EgressDoorbell { dst }));
+            let ev = ctx.schedule(at.since(now), Message::cloneable(EgressDoorbell { dst }));
             self.egress_doorbells.insert(dst, (at, ev));
         } else {
             self.egress.remove(&dst);
@@ -782,7 +783,7 @@ impl CBoard {
             }
             let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
             let ship = at.max(now);
-            let tx_end = self.nic.send_at(ctx, at, dst, wire, Message::new(pkt));
+            let tx_end = self.nic.send_at(ctx, at, dst, wire, Message::cloneable(pkt));
             // Each member waited on the egress queue from its completion to
             // the frame's departure, then the frame serialized as one unit.
             for tr in traces {
@@ -1488,6 +1489,60 @@ fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
 impl Actor for CBoard {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Copies everything but installed offloads: an offload module is an
+    /// opaque trait object, so a board carrying one cannot fork.
+    fn fork(&self) -> Option<Box<dyn Actor>> {
+        if !self.offloads.is_empty() {
+            return None;
+        }
+        let m = &self.stats;
+        Some(Box::new(CBoard {
+            name: self.name.clone(),
+            cfg: self.cfg.clone(),
+            silicon: self.silicon.fork(),
+            slow: self.slow.clone(),
+            nic: self.nic.clone(),
+            offloads: HashMap::new(),
+            fence_until: self.fence_until,
+            last_completion: self.last_completion,
+            writes: self.writes.clone(),
+            egress: self.egress.clone(),
+            egress_doorbells: self.egress_doorbells.clone(),
+            egress_last_ready: self.egress_last_ready.clone(),
+            egress_gap_ewma: self.egress_gap_ewma.clone(),
+            egress_turnaround_ewma: self.egress_turnaround_ewma.clone(),
+            regions: self.regions.clone(),
+            out_migrations: self.out_migrations.clone(),
+            in_migrations: self.in_migrations.clone(),
+            controller: self.controller,
+            pressure_threshold: self.pressure_threshold,
+            pressure_reported: self.pressure_reported,
+            stats: BoardMetrics {
+                rx_frames: m.rx_frames.detached(),
+                batched_requests: m.batched_requests.detached(),
+                rx_packets: m.rx_packets.detached(),
+                tx_packets: m.tx_packets.detached(),
+                tx_frames: m.tx_frames.detached(),
+                batched_responses: m.batched_responses.detached(),
+                nacks: m.nacks.detached(),
+                nack_frames: m.nack_frames.detached(),
+                dedup_replays: m.dedup_replays.detached(),
+                slow_ops: m.slow_ops.detached(),
+                offload_calls: m.offload_calls.detached(),
+                conflicts: m.conflicts.detached(),
+                moved: m.moved.detached(),
+                board_restarts: m.board_restarts.detached(),
+                dropped_while_down: m.dropped_while_down.detached(),
+            },
+            tracer: self.tracer.detached(),
+            track: self.track,
+            cur_trace: self.cur_trace,
+            peer_srtt: self.peer_srtt.clone(),
+            peer_srtt_ns: self.peer_srtt_ns.detached(),
+            alive: self.alive,
+        }))
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use clio_sim::Message;
+use clio_sim::{Message, TryClone};
 
 /// A link-layer address identifying one attachment point on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -43,6 +43,14 @@ impl Frame {
     }
 }
 
+/// A frame copies when its payload does (built with
+/// [`Message::cloneable`]), so a simulation with frames in flight can fork.
+impl TryClone for Frame {
+    fn try_clone(&self) -> Result<Self, &'static str> {
+        Ok(Frame { payload: self.payload.try_clone()?, ..*self })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,6 +63,16 @@ mod tests {
         assert_eq!(f.wire_bytes, 100);
         assert!(!f.corrupted);
         assert_eq!(f.payload.downcast_ref::<u32>(), Some(&42));
+    }
+
+    #[test]
+    fn frame_clones_with_its_payload() {
+        let f = Frame::new(Mac(1), Mac(2), 100, Message::cloneable(42u32));
+        let c = f.try_clone().expect("cloneable payload");
+        assert_eq!((c.src, c.dst, c.wire_bytes), (Mac(1), Mac(2), 100));
+        assert_eq!(c.payload.downcast_ref::<u32>(), Some(&42));
+        let f = Frame::new(Mac(1), Mac(2), 100, Message::new(42u32));
+        assert_eq!(f.try_clone().err(), Some("u32"));
     }
 
     #[test]

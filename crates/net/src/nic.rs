@@ -13,7 +13,7 @@ use crate::frame::{Frame, Mac};
 /// rate plus the propagation delay to the switch. Receive-side frames are
 /// delivered by the switch directly to the host actor as
 /// [`Frame`] messages.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NicPort {
     mac: Mac,
     rate: Bandwidth,
@@ -40,7 +40,10 @@ impl NicPort {
     }
 
     /// Queues `payload` (occupying `wire_bytes` on the wire) for `dst`.
-    /// Returns the time the last bit leaves the NIC.
+    /// Returns the time the last bit leaves the NIC. The frame in flight
+    /// is a cloneable message, so it never blocks a simulation fork; its
+    /// payload blocks one unless it too was built with
+    /// [`Message::cloneable`].
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -50,7 +53,7 @@ impl NicPort {
     ) -> SimTime {
         let tx = self.tx.reserve(ctx.now(), self.rate.transfer_time(wire_bytes as u64));
         let frame = Frame::new(self.mac, dst, wire_bytes, payload);
-        ctx.send_at(self.switch, tx.end + self.propagation_delay, Message::new(frame));
+        ctx.send_at(self.switch, tx.end + self.propagation_delay, Message::cloneable(frame));
         tx.end
     }
 
@@ -67,7 +70,7 @@ impl NicPort {
         let start = earliest.max(ctx.now());
         let tx = self.tx.reserve(start, self.rate.transfer_time(wire_bytes as u64));
         let frame = Frame::new(self.mac, dst, wire_bytes, payload);
-        ctx.send_at(self.switch, tx.end + self.propagation_delay, Message::new(frame));
+        ctx.send_at(self.switch, tx.end + self.propagation_delay, Message::cloneable(frame));
         tx.end
     }
 

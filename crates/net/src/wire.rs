@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use clio_sim::{Actor, ActorId, Ctx, Message};
+use clio_sim::{Actor, ActorId, Ctx, Message, TryClone};
 
 use crate::frame::{Frame, Mac};
 
@@ -136,6 +136,20 @@ impl Actor for VirtualWire {
         "virtual-wire"
     }
 
+    fn fork(&self) -> Option<Box<dyn Actor>> {
+        let pending = self
+            .pending
+            .iter()
+            .map(|c| Some(CapturedFrame { seq: c.seq, frame: c.frame.try_clone().ok()? }))
+            .collect::<Option<_>>()?;
+        Some(Box::new(VirtualWire {
+            endpoints: self.endpoints.clone(),
+            pending,
+            next_seq: self.next_seq,
+            captured: self.captured,
+        }))
+    }
+
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
         let frame = msg.downcast::<Frame>().expect("VirtualWire only carries frames");
         let seq = self.next_seq;
@@ -213,5 +227,25 @@ mod tests {
         let wire = sim.actor::<VirtualWire>(wire_id);
         assert_eq!(wire.len(), 1, "the Mac(3) frame is still in flight");
         assert_eq!(wire.captured(), 3);
+    }
+
+    #[test]
+    fn fork_copies_captured_frames_with_cloneable_payloads() {
+        let mut sim = Simulation::new(1);
+        let sink = sim.add_actor(Sink { got: vec![] });
+        let mut wire = VirtualWire::new();
+        wire.attach(Mac(2), sink);
+        wire.inject(Frame::new(Mac(1), Mac(2), 64, Message::cloneable(5u32)));
+        wire.corrupt(0);
+        let forked: Box<dyn std::any::Any> = wire.fork().expect("cloneable payloads");
+        let mut copy = forked.downcast::<VirtualWire>().expect("a VirtualWire");
+        assert_eq!(copy.len(), 1);
+        assert!(copy.pending()[0].frame.corrupted);
+        assert_eq!(copy.pending()[0].frame.payload.downcast_ref::<u32>(), Some(&5));
+        assert_eq!(copy.endpoint(Mac(2)), Some(sink));
+        assert_eq!(copy.inject(Frame::new(Mac(1), Mac(2), 64, Message::cloneable(6u32))), 1);
+        assert_eq!(wire.len(), 1, "the original is untouched");
+        wire.inject(Frame::new(Mac(1), Mac(2), 64, Message::new(7u32)));
+        assert!(wire.fork().is_none(), "a non-cloneable payload blocks the fork");
     }
 }

@@ -92,7 +92,7 @@ pub fn split_read_response(req_id: ReqId, status: Status, data: Bytes) -> Vec<Cl
     pkts
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Partial {
     expected: u16,
     got: Vec<Option<(u32, Bytes)>>,
@@ -104,7 +104,7 @@ struct Partial {
 /// Fragments may arrive in any order and duplicates are ignored. When the
 /// last fragment of a request arrives, [`accept`](Reassembler::accept)
 /// returns the full contiguous payload.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Reassembler {
     partials: HashMap<ReqId, Partial>,
 }

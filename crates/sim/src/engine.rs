@@ -43,7 +43,36 @@ pub trait Actor: std::any::Any {
 
     /// Handles one delivered message at the current virtual time.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message);
+
+    /// A deep copy of this actor for [`Simulation::fork`], or `None` (the
+    /// default) if it cannot be copied. The copy must share nothing
+    /// mutable with the original: metric handles and tracers are detached
+    /// copies, not aliases.
+    fn fork(&self) -> Option<Box<dyn Actor>> {
+        None
+    }
 }
+
+/// Why [`Simulation::fork`] failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ForkError {
+    /// This registered actor does not implement [`Actor::fork`].
+    Actor(String),
+    /// A queued message of this type was not built with
+    /// [`Message::cloneable`].
+    Message(&'static str),
+}
+
+impl std::fmt::Display for ForkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ForkError::Actor(name) => write!(f, "actor {name:?} cannot fork"),
+            ForkError::Message(ty) => write!(f, "queued message type {ty} is not cloneable"),
+        }
+    }
+}
+
+impl std::error::Error for ForkError {}
 
 struct QueuedEvent {
     at: SimTime,
@@ -183,6 +212,46 @@ impl Simulation {
             actors: Vec::new(),
             names: Vec::new(),
         }
+    }
+
+    /// A deep copy of this simulation: clock, event queue, sequence
+    /// counter, RNG, digest, event count and every actor. The copy and the
+    /// original then run independently; given the same inputs they dispatch
+    /// the same events and reach the same digest. Cancelled events are
+    /// dropped from the copy rather than carried over with the cancelled
+    /// set, which delivers exactly the same events.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an actor does not implement [`Actor::fork`] or a live
+    /// queued message was not built with [`Message::cloneable`].
+    pub fn fork(&self) -> Result<Simulation, ForkError> {
+        let mut queue = Vec::with_capacity(self.core.queue.len());
+        for Reverse(ev) in &self.core.queue {
+            if self.core.cancelled.contains(&ev.id) {
+                continue;
+            }
+            let msg = ev.msg.try_clone().map_err(ForkError::Message)?;
+            queue.push(Reverse(QueuedEvent { msg, ..*ev }));
+        }
+        let mut actors = Vec::with_capacity(self.actors.len());
+        for (slot, name) in self.actors.iter().zip(&self.names) {
+            let actor = slot.as_ref().expect("no actor executes outside `step`");
+            actors.push(Some(actor.fork().ok_or_else(|| ForkError::Actor(name.clone()))?));
+        }
+        Ok(Simulation {
+            core: SimCore {
+                now: self.core.now,
+                queue: BinaryHeap::from(queue),
+                next_seq: self.core.next_seq,
+                cancelled: HashSet::new(),
+                rng: self.core.rng.clone(),
+                digest: self.core.digest,
+                events_dispatched: self.core.events_dispatched,
+            },
+            actors,
+            names: self.names.clone(),
+        })
     }
 
     /// Registers an actor and returns its id.
@@ -529,6 +598,89 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_nanos(10));
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(r).seen, vec![(SimTime::from_nanos(50), 2)]);
+    }
+
+    /// A forkable ping-pong player that draws from the RNG on every hop, so
+    /// a fork that lost RNG, clock or queue state would diverge.
+    #[derive(Clone)]
+    struct Rally {
+        peer: ActorId,
+        hits: u64,
+        limit: u64,
+    }
+    impl Actor for Rally {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let v = msg.downcast::<u64>().expect("u64");
+            self.hits += 1;
+            if v < self.limit {
+                let jitter = ctx.rng().u64() % 7;
+                ctx.send(self.peer, SimDuration::from_nanos(1 + jitter), Message::cloneable(v + 1));
+                // A timer that is always cancelled: forks drop it.
+                let t = ctx.schedule(SimDuration::from_nanos(50), Message::new("never"));
+                ctx.cancel(t);
+            }
+        }
+        fn fork(&self) -> Option<Box<dyn Actor>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    fn rally() -> Simulation {
+        let mut sim = Simulation::new(11);
+        sim.add_actor(Rally { peer: ActorId(1), hits: 0, limit: 40 });
+        sim.add_actor(Rally { peer: ActorId(0), hits: 0, limit: 40 });
+        sim.post(ActorId(0), Message::cloneable(0u64));
+        sim
+    }
+
+    #[test]
+    fn forked_sim_reaches_the_same_digest_as_its_original() {
+        let mut sim = rally();
+        sim.run_for(SimDuration::from_nanos(30));
+        let mut fork = sim.fork().expect("every actor and live message is cloneable");
+        assert_eq!((fork.now(), fork.digest()), (sim.now(), sim.digest()));
+        sim.run_until_idle();
+        fork.run_until_idle();
+        assert_eq!(fork.digest(), sim.digest());
+        assert_eq!(fork.now(), sim.now());
+        assert_eq!(fork.events_dispatched(), sim.events_dispatched());
+        assert_eq!(fork.actor::<Rally>(ActorId(1)).hits, sim.actor::<Rally>(ActorId(1)).hits);
+    }
+
+    #[test]
+    fn running_a_fork_leaves_its_parent_untouched() {
+        let mut sim = rally();
+        sim.run_for(SimDuration::from_nanos(30));
+        let before = (sim.now(), sim.digest(), sim.events_dispatched());
+        let hits = sim.actor::<Rally>(ActorId(0)).hits;
+        let mut fork = sim.fork().expect("forkable");
+        fork.actor_mut::<Rally>(ActorId(0)).limit = 0;
+        fork.post(ActorId(0), Message::cloneable(99u64));
+        fork.rng().u64();
+        fork.run_until_idle();
+        assert_eq!((sim.now(), sim.digest(), sim.events_dispatched()), before);
+        assert_eq!(sim.actor::<Rally>(ActorId(0)).hits, hits);
+        assert_eq!(sim.actor::<Rally>(ActorId(0)).limit, 40);
+        // The parent still plays out exactly as an unforked run does.
+        sim.run_until_idle();
+        let mut fresh = rally();
+        fresh.run_until_idle();
+        assert_eq!(sim.digest(), fresh.digest());
+        assert_eq!(sim.events_dispatched(), fresh.events_dispatched());
+    }
+
+    #[test]
+    fn fork_fails_on_a_non_cloneable_message_or_actor() {
+        let mut sim = rally();
+        sim.post(ActorId(1), Message::new(5u64));
+        assert_eq!(sim.fork().err(), Some(ForkError::Message(std::any::type_name::<u64>())));
+        // Once cancelled, the message no longer blocks the fork.
+        let mut sim = rally();
+        let id = sim.post(ActorId(1), Message::new(5u64));
+        sim.cancel(id);
+        assert!(sim.fork().is_ok());
+        sim.add_actor(Recorder { seen: vec![] });
+        assert_eq!(sim.fork().err(), Some(ForkError::Actor("recorder".into())));
     }
 
     #[test]

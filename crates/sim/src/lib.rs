@@ -7,7 +7,9 @@
 //!   plus hardware-oriented unit helpers ([`Frequency`], [`Bandwidth`],
 //!   [`Cycles`]),
 //! * a deterministic event queue and actor runtime ([`Simulation`], [`Actor`],
-//!   [`Ctx`]) with FIFO tie-breaking for simultaneous events,
+//!   [`Ctx`]) with FIFO tie-breaking for simultaneous events, and
+//!   [`Simulation::fork`] to deep-copy a running simulation whose actors
+//!   and queued messages support it,
 //! * seeded random-number generation ([`SimRng`]) and workload distributions
 //!   ([`dist`]),
 //! * resource-reservation primitives used to model pipelines, DMA engines and
@@ -50,7 +52,7 @@ mod rng;
 pub mod stats;
 mod time;
 
-pub use engine::{Actor, ActorId, Ctx, EventId, Simulation};
-pub use message::Message;
+pub use engine::{Actor, ActorId, Ctx, EventId, ForkError, Simulation};
+pub use message::{Message, TryClone};
 pub use rng::SimRng;
 pub use time::{Bandwidth, Cycles, Frequency, SimDuration, SimTime};

@@ -44,6 +44,12 @@ impl Counter {
     pub fn reset(&self) {
         self.0.set(0);
     }
+
+    /// A new counter holding this one's current value and sharing
+    /// nothing with it (for forking the component that owns it).
+    pub fn detached(&self) -> Self {
+        Counter(Rc::new(Cell::new(self.get())))
+    }
 }
 
 /// A last-writer-wins gauge handle.
@@ -69,6 +75,12 @@ impl Gauge {
     /// Zeroes the gauge (shared across all clones).
     pub fn reset(&self) {
         self.0.set(0);
+    }
+
+    /// A new gauge holding this one's current value and sharing
+    /// nothing with it (for forking the component that owns it).
+    pub fn detached(&self) -> Self {
+        Gauge(Rc::new(Cell::new(self.get())))
     }
 }
 
@@ -105,6 +117,12 @@ impl HistogramHandle {
     /// Clears all samples (shared across all clones).
     pub fn reset(&self) {
         *self.0.borrow_mut() = Histogram::new();
+    }
+
+    /// A new histogram holding a copy of this one's samples and sharing
+    /// nothing with it.
+    pub fn detached(&self) -> Self {
+        HistogramHandle(Rc::new(RefCell::new(self.0.borrow().clone())))
     }
 }
 
@@ -192,6 +210,25 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn detached_handles_copy_the_value_and_share_nothing() {
+        let c = Counter::new();
+        c.add(3);
+        let d = c.detached();
+        d.inc();
+        assert_eq!((c.get(), d.get()), (3, 4));
+        let g = Gauge::new();
+        g.set(9);
+        let h = g.detached();
+        h.reset();
+        assert_eq!((g.get(), h.get()), (9, 0));
+        let x = HistogramHandle::new();
+        x.record(5);
+        let y = x.detached();
+        y.record(6);
+        assert_eq!((x.count(), y.count()), (1, 2));
+    }
 
     #[test]
     fn handles_share_state_with_registry() {

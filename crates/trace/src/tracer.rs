@@ -22,7 +22,7 @@ pub struct TraceEvent {
     pub at: SimTime,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct TraceSink {
     next_id: u64,
     sample_every: u64,
@@ -65,6 +65,13 @@ impl Tracer {
             finished: Vec::new(),
             events: Vec::new(),
         }))))
+    }
+
+    /// A tracer with a copy of this one's recorded state that shares
+    /// nothing with it (for forking a traced component). Components that
+    /// shared one enabled tracer each get their own copy.
+    pub fn detached(&self) -> Self {
+        Tracer(self.0.as_ref().map(|sink| Rc::new(RefCell::new(sink.borrow().clone()))))
     }
 
     /// True when this handle records anything at all.
