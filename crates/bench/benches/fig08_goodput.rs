@@ -32,11 +32,7 @@ struct Run {
 fn goodput(threads: u64, mix: AccessMix, window: u32, clib: CLibConfig, resp_batched: bool) -> Run {
     let mut cluster = bench_cluster_tuned(1, 1, 80 + threads, clib, |board| {
         if !resp_batched {
-            *board = CBoardConfig {
-                resp_batch_max_ops: 1,
-                egress_doorbell_delay: Some(clio_sim::SimDuration::ZERO),
-                ..board.clone()
-            };
+            *board = CBoardConfig { resp_batch_max_ops: 1, ..board.clone() };
         }
     });
     let recorders: Vec<_> = (0..threads)

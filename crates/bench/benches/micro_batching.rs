@@ -46,9 +46,6 @@ fn run(size: u32, batch_max_ops: u32, bursts: u64, scatter_gather: bool) -> Poin
     let resp_ops = batch_max_ops;
     let mut cluster = bench_cluster_tuned(1, 1, 7 + size as u64, clib, |board| {
         board.resp_batch_max_ops = resp_ops;
-        if resp_ops == 1 {
-            board.egress_doorbell_delay = Some(clio_sim::SimDuration::ZERO);
-        }
     });
     let load = BurstLoad::new(size, BURST, bursts, SPAN_PAGES, 4096);
     let load = if scatter_gather { load.with_scatter_gather() } else { load };

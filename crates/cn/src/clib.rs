@@ -226,9 +226,6 @@ pub struct CLib {
     transport: Transport,
     trackers: HashMap<ThreadId, DependencyTracker<OpToken>>,
     ops: HashMap<OpToken, PendingOp>,
-    /// Per-op wakers fired exactly once when the op completes — the
-    /// poll-free completion path used by the async executor.
-    wakers: HashMap<OpToken, std::task::Waker>,
     /// Arrival-time override for the next submission call: ops admitted
     /// while this is set begin their trace (and report `issued_at`) at the
     /// earlier arrival time, with the gap stitched as a
@@ -252,7 +249,6 @@ impl CLib {
             page_size,
             trackers: HashMap::new(),
             ops: HashMap::new(),
-            wakers: HashMap::new(),
             queued_since: None,
             next_token: 1,
             completed_count: Counter::new(),
@@ -262,26 +258,20 @@ impl CLib {
     }
 
     /// A deep copy of this CLib whose counters and tracer are detached
-    /// from the original's (for forking the host that owns it). `None`
-    /// while a completion waker is registered: wakers belong to an
-    /// executor outside the simulation, which the copy must not wake.
-    pub fn fork(&self) -> Option<Self> {
-        if !self.wakers.is_empty() {
-            return None;
-        }
-        Some(CLib {
+    /// from the original's (for forking the host that owns it).
+    pub fn fork(&self) -> Self {
+        CLib {
             cfg: self.cfg,
             page_size: self.page_size,
             transport: self.transport.fork(),
             trackers: self.trackers.clone(),
             ops: self.ops.clone(),
-            wakers: HashMap::new(),
             queued_since: self.queued_since,
             next_token: self.next_token,
             completed_count: self.completed_count.detached(),
             tracer: self.tracer.detached(),
             track: self.track,
-        })
+        }
     }
 
     /// Injects the tracer and the CN track this CLib (and its transport)
@@ -340,19 +330,6 @@ impl CLib {
     /// backpressure wait. Cleared after the next submission call.
     pub fn set_queued_since(&mut self, at: Option<SimTime>) {
         self.queued_since = at;
-    }
-
-    /// Registers a waker fired when `token` completes — the poll-free
-    /// completion path: instead of scanning for finished ops, an executor
-    /// parks a task waker here and CLib wakes it when the op finishes.
-    /// At most one waker per op (later
-    /// registrations replace earlier ones); a token that is not pending
-    /// (already completed, or never existed) is ignored — its completion
-    /// has already been handed to the host.
-    pub fn register_waker(&mut self, token: OpToken, waker: std::task::Waker) {
-        if self.ops.contains_key(&token) {
-            self.wakers.insert(token, waker);
-        }
     }
 
     /// The underlying transport, read-only — the model checker fingerprints
@@ -638,7 +615,7 @@ impl CLib {
 
     /// Cancels a still-pending op (its deadline elapsed): withdraws every
     /// transport attempt, ends the op's trace with a [`Stage::Cancelled`]
-    /// span, wakes any parked waker, and releases the thread's dependents.
+    /// span, and releases the thread's dependents.
     /// Returns the resulting completions — the cancelled op's
     /// [`ClioError::DeadlineExceeded`] failure plus anything dependents
     /// produced synchronously. A token no longer pending (the completion
@@ -653,9 +630,6 @@ impl CLib {
         let mut completions = Vec::new();
         let Some(pending) = self.ops.remove(&token) else { return completions };
         self.transport.cancel(ctx, XferToken(token.0));
-        if let Some(waker) = self.wakers.remove(&token) {
-            waker.wake();
-        }
         self.completed_count.inc();
         self.tracer.stitch(pending.trace, self.track, Stage::Cancelled, ctx.now());
         self.tracer.finish(pending.trace, self.track, ctx.now());
@@ -698,12 +672,6 @@ impl CLib {
         }
 
         let pending = self.ops.remove(&token).expect("checked above");
-        // Poll-free completion path: wake the executor task (if any) parked
-        // on this op. Fires only on real completion — the lock-spin early
-        // return above keeps the waker armed across TAS retries.
-        if let Some(waker) = self.wakers.remove(&token) {
-            waker.wake();
-        }
         let value = done.result.map(|v| match (&pending.op, v) {
             (_, XferValue::Data(d)) => CompletionValue::Data(d),
             (_, XferValue::Va(va)) => CompletionValue::Va(va),

@@ -15,33 +15,32 @@
 //! immediately; when the doorbell fires, every queued request drains
 //! through a single pump. The pump packs admitted small same-MN requests
 //! (single-packet reads, writes, and atomics) into [`ClioPacket::Batch`]
-//! frames under the `batch_max_ops`/`batch_max_bytes`/MTU budgets, saving
-//! one Ethernet framing overhead per coalesced request. Each batched
-//! request keeps its own request id, congestion/incast window slot, retry
-//! timer, and blueprint: timeouts, NACK retries (`retry_of` dedup), and
-//! completions are indistinguishable from the unbatched wire protocol. A
+//! frames under the `batch_max_ops`/MTU budgets, saving one Ethernet
+//! framing overhead per coalesced request. Each batched request keeps its
+//! own request id, congestion/incast window slot, retry timer, and
+//! blueprint: timeouts, NACK retries (`retry_of` dedup), and completions
+//! are indistinguishable from the unbatched wire protocol. A
 //! lone admitted request is framed as a plain `Request`, byte-identical to
 //! `batch_max_ops = 1`.
 //!
 //! The doorbell's delay is **load-adaptive**, bounded by a latency budget
-//! that is itself **RTT-derived** by default: with
-//! `CLibConfig::doorbell_max_delay = None` the budget is `srtt / 4` of the
-//! congestion window's EWMA-smoothed RTT toward that MN (capped by
+//! that is itself **RTT-derived**: `srtt / 4` of the congestion window's
+//! EWMA-smoothed RTT toward that MN (capped by
 //! `CLibConfig::DOORBELL_DERIVED_CAP`, zero before the first RTT sample),
 //! so the hold self-calibrates: always a small fraction of what the
-//! application already waits per request. A `Some(budget)` config is an
-//! explicit static override. Within the budget the doorbell holds for the
-//! observed inter-submission gap times the free batch slots, and fires
-//! immediately when a full batch is queued or the transport has no
-//! recent-traffic history.
+//! application already waits per request. Within the budget the doorbell
+//! holds for the observed inter-submission gap times the free batch slots
+//! ([`clio_net::doorbell`], the same policy as the MN's egress doorbell),
+//! and fires immediately when a full batch is queued or the transport has
+//! no recent-traffic history.
 //!
 //! Retransmissions re-coalesce too: retries queued in the same pump — e.g.
 //! several timers for one MN expiring at the same instant after a lost
 //! batch frame, or the entries of one [`ClioPacket::BatchNack`] — share
 //! [`ClioPacket::Batch`] frames through a dedicated zero-delay retry
-//! doorbell that bypasses the window machinery (retries keep the slots of
-//! the requests they replace) while preserving each entry's `retry_of`
-//! dedup chain. A corrupted batch frame therefore recovers symmetrically:
+//! doorbell, packed by the same routine as first sends. The retry doorbell
+//! bypasses the window machinery (retries keep the slots of the requests
+//! they replace) while preserving each entry's `retry_of` dedup chain. A corrupted batch frame therefore recovers symmetrically:
 //! one `BatchNack` frame back, one coalesced retry frame forward.
 //!
 //! [`send_many`] bypasses the doorbell heuristics entirely: the caller
@@ -86,14 +85,16 @@
 //! [`send_many`]: Transport::send_many
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
+use clio_net::doorbell::{self, GapEwma};
 use clio_net::{Mac, NicPort};
 use clio_proto::{
-    codec, split_write, BatchBuilder, ClioPacket, Perm, Pid, Reassembler, ReqHeader, ReqId,
+    codec, split_write, ClioPacket, FrameBuilder, Perm, Pid, Reassembler, ReqHeader, ReqId,
     RequestBody, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES, MAX_WRITE_FRAG_PAYLOAD,
 };
-use clio_sim::{Ctx, EventId, Message, SimDuration, SimTime};
+use clio_sim::{Ctx, EventId, Fnv, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Gauge, Registry};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -123,7 +124,7 @@ const QUEUED_TIMEOUTS_MAX: u64 = 2;
 /// How to (re)build the packets of a request — the CN-side retransmission
 /// state (§4.4 "maintain transport logic, state, and data buffers only at
 /// CNs").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum Blueprint {
     /// `rread`.
     Read {
@@ -180,7 +181,7 @@ pub enum Blueprint {
 }
 
 /// Atomic operation kinds carried by [`Blueprint::Atomic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomicKind {
     /// Test-and-set to 1.
     Tas,
@@ -379,7 +380,7 @@ pub enum TransportTimer {
 /// normal operation; `Open` fails ops fast with `ClioError::Unreachable`;
 /// `HalfOpen` lets queued ops through as probes — one success closes the
 /// breaker, one more timeout re-opens it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum BreakerState {
     /// Normal operation: ops flow, timeouts are counted.
     #[default]
@@ -449,79 +450,18 @@ pub enum McMutation {
     LeakWindowOnNack,
 }
 
-/// FNV-1a step over one `u64`.
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// The batch frame under assembly toward one MN, with the trace contexts
+/// of its entries in push order: their pack and NIC-serialization spans are
+/// stitched when the shared frame actually leaves.
+struct OpenFrame {
+    entries: FrameBuilder<(ReqHeader, RequestBody)>,
+    traces: Vec<Option<TraceCtx>>,
 }
 
-/// Folds a **sorted** list of element digests into `h` under a section tag,
-/// so differently-keyed sections with equal content still hash apart.
-fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
-    h = fnv_mix(h, tag);
-    h = fnv_mix(h, elems.len() as u64);
-    for &e in elems {
-        h = fnv_mix(h, e);
+impl OpenFrame {
+    fn new(cfg: &CLibConfig) -> Self {
+        OpenFrame { entries: FrameBuilder::new(cfg.batch_max_ops as usize), traces: Vec::new() }
     }
-    h
-}
-
-/// Content digest of a blueprint (shape + addresses + payload bytes).
-fn blueprint_digest(bp: &Blueprint) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    match bp {
-        Blueprint::Read { va, len } => {
-            h = fnv_mix(h, 1);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(h, *len as u64);
-        }
-        Blueprint::Write { va, data } => {
-            h = fnv_mix(h, 2);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(h, data.len() as u64);
-            for chunk in data.chunks(8) {
-                let mut v = [0u8; 8];
-                v[..chunk.len()].copy_from_slice(chunk);
-                h = fnv_mix(h, u64::from_le_bytes(v));
-            }
-        }
-        Blueprint::Atomic { va, op } => {
-            h = fnv_mix(h, 3);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(
-                h,
-                match op {
-                    AtomicKind::Tas => 1,
-                    AtomicKind::Store(v) => fnv_mix(2, *v),
-                    AtomicKind::Cas { expected, new } => fnv_mix(fnv_mix(3, *expected), *new),
-                    AtomicKind::Faa(d) => fnv_mix(4, *d),
-                },
-            );
-        }
-        Blueprint::Fence => h = fnv_mix(h, 4),
-        Blueprint::Alloc { size, fixed_va, .. } => {
-            h = fnv_mix(h, 5);
-            h = fnv_mix(h, *size);
-            h = fnv_mix(h, fixed_va.map_or(u64::MAX, |v| v));
-        }
-        Blueprint::Free { va, size } => {
-            h = fnv_mix(h, 6);
-            h = fnv_mix(h, *va);
-            h = fnv_mix(h, *size);
-        }
-        Blueprint::CreateAs => h = fnv_mix(h, 7),
-        Blueprint::DestroyAs => h = fnv_mix(h, 8),
-        Blueprint::Offload { offload, opcode, arg } => {
-            h = fnv_mix(h, 9);
-            h = fnv_mix(h, *offload as u64);
-            h = fnv_mix(h, *opcode as u64);
-            h = fnv_mix(h, arg.len() as u64);
-        }
-    }
-    h
 }
 
 /// Per-CN transport instance (shared by all processes on the CN, like the
@@ -549,10 +489,8 @@ pub struct Transport {
     reassembler: Reassembler,
     /// MNs with a doorbell (pump) event already scheduled.
     doorbells: HashMap<Mac, EventId>,
-    /// Last submission time per MN (feeds the adaptive doorbell).
-    last_submit: HashMap<Mac, SimTime>,
-    /// EWMA of the inter-submission gap per MN, in nanoseconds.
-    submit_gap_ewma: HashMap<Mac, f64>,
+    /// Submission-gap history per MN (feeds the adaptive doorbell).
+    submit_gaps: HashMap<Mac, GapEwma>,
     /// Retransmissions queued for coalescing: `(new id, retry_of)`.
     retry_queues: HashMap<Mac, Vec<(ReqId, Option<ReqId>)>>,
     /// MNs with a zero-delay retry doorbell already scheduled.
@@ -601,8 +539,7 @@ impl Transport {
             cwnds: HashMap::new(),
             reassembler: Reassembler::new(),
             doorbells: HashMap::new(),
-            last_submit: HashMap::new(),
-            submit_gap_ewma: HashMap::new(),
+            submit_gaps: HashMap::new(),
             retry_queues: HashMap::new(),
             retry_doorbells: HashSet::new(),
             retry_count: Counter::new(),
@@ -635,8 +572,7 @@ impl Transport {
             iwnd: self.iwnd,
             reassembler: self.reassembler.clone(),
             doorbells: self.doorbells.clone(),
-            last_submit: self.last_submit.clone(),
-            submit_gap_ewma: self.submit_gap_ewma.clone(),
+            submit_gaps: self.submit_gaps.clone(),
             retry_queues: self.retry_queues.clone(),
             retry_doorbells: self.retry_doorbells.clone(),
             retry_count: self.retry_count.detached(),
@@ -778,8 +714,8 @@ impl Transport {
 
     /// An order-insensitive FNV-1a digest of the transport's **logical**
     /// state: outstanding requests (id, token, target, retry counts,
-    /// expected bytes, blueprint shape), queued and parked sends, retry
-    /// queues, window slot/byte counts, and the id counter.
+    /// expected bytes, blueprint), queued and parked sends, retry queues,
+    /// window slot/byte counts, and the id counter.
     ///
     /// Absolute times (timer deadlines, RTT/gap EWMAs, fractional window
     /// sizes) are deliberately **excluded**: the model checker prunes
@@ -788,78 +724,27 @@ impl Transport {
     /// states with equal fingerprints can differ in timing, never in
     /// protocol-visible structure.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut outstanding: Vec<u64> = self
-            .outstanding
-            .iter()
-            .map(|(id, o)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, id.0);
-                e = fnv_mix(e, o.token.0);
-                e = fnv_mix(e, o.target.0 as u64);
-                e = fnv_mix(e, o.retries as u64);
-                e = fnv_mix(e, o.conflict_retries as u64);
-                e = fnv_mix(e, o.expected_bytes);
-                fnv_mix(e, blueprint_digest(&o.blueprint))
-            })
-            .collect();
-        outstanding.sort_unstable();
-        h = fnv_fold(h, 1, &outstanding);
-        let mut queued: Vec<u64> = self
-            .queues
-            .iter()
-            .flat_map(|(mac, q)| {
-                q.iter().enumerate().map(move |(i, s)| {
-                    let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64);
-                    e = fnv_mix(e, i as u64); // queue order matters
-                    e = fnv_mix(e, s.token.0);
-                    fnv_mix(e, blueprint_digest(&s.blueprint))
-                })
-            })
-            .collect();
-        queued.sort_unstable();
-        h = fnv_fold(h, 2, &queued);
-        let mut parked: Vec<u64> = self
-            .parked_conflicts
-            .iter()
-            .map(|(t, o)| fnv_mix(fnv_mix(0xcbf2_9ce4_8422_2325, t.0), o.conflict_retries as u64))
-            .collect();
-        parked.sort_unstable();
-        h = fnv_fold(h, 3, &parked);
-        let mut retries: Vec<u64> = self
-            .retry_queues
-            .iter()
-            .flat_map(|(mac, q)| {
-                q.iter().map(move |(id, retry_of)| {
-                    let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64);
-                    e = fnv_mix(e, id.0);
-                    fnv_mix(e, retry_of.map_or(0, |r| r.0))
-                })
-            })
-            .collect();
-        retries.sort_unstable();
-        h = fnv_fold(h, 4, &retries);
-        let mut windows: Vec<u64> = self
-            .cwnds
-            .iter()
-            .map(|(mac, w)| fnv_mix(fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64), w.outstanding()))
-            .collect();
-        windows.sort_unstable();
-        h = fnv_fold(h, 5, &windows);
-        let mut health: Vec<u64> = self
-            .health
-            .iter()
-            .filter(|(_, ph)| ph.state != BreakerState::Closed || ph.consecutive_timeouts != 0)
-            .map(|(mac, ph)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, mac.0 as u64);
-                e = fnv_mix(e, ph.state as u64);
-                fnv_mix(e, ph.consecutive_timeouts as u64)
-            })
-            .collect();
-        health.sort_unstable();
-        h = fnv_fold(h, 6, &health);
-        h = fnv_mix(h, self.iwnd.in_flight());
-        h = fnv_mix(h, self.next_req);
-        h
+        let mut h = Fnv::default();
+        h.write_unordered(self.outstanding.iter().map(|(id, o)| {
+            (id, o.token, o.target, o.retries, o.conflict_retries, o.expected_bytes, &o.blueprint)
+        }));
+        // Queue order matters, so each queued send hashes with its position.
+        h.write_unordered(self.queues.iter().flat_map(|(mac, q)| {
+            q.iter().enumerate().map(move |(i, s)| (mac, i, s.token, &s.blueprint))
+        }));
+        h.write_unordered(self.parked_conflicts.iter().map(|(t, o)| (t, o.conflict_retries)));
+        h.write_unordered(
+            self.retry_queues.iter().flat_map(|(mac, q)| q.iter().map(move |e| (mac, e))),
+        );
+        h.write_unordered(self.cwnds.iter().map(|(mac, w)| (mac, w.outstanding())));
+        h.write_unordered(
+            self.health
+                .iter()
+                .filter(|(_, ph)| ph.state != BreakerState::Closed || ph.consecutive_timeouts != 0)
+                .map(|(mac, ph)| (mac, ph.state, ph.consecutive_timeouts)),
+        );
+        (self.iwnd.in_flight(), self.next_req).hash(&mut h);
+        h.finish()
     }
 
     fn batching(&self) -> bool {
@@ -994,58 +879,30 @@ impl Transport {
         done
     }
 
-    /// Feeds the per-MN inter-submission-gap estimate (EWMA, α = 1/4) that
-    /// sizes the adaptive doorbell hold.
+    /// Feeds the per-MN inter-submission-gap estimate that sizes the
+    /// adaptive doorbell hold.
     fn note_submission(&mut self, target: Mac, now: SimTime) {
-        if let Some(prev) = self.last_submit.insert(target, now) {
-            let gap = now.since(prev).as_nanos() as f64;
-            let ewma = self.submit_gap_ewma.entry(target).or_insert(gap);
-            *ewma = 0.75 * *ewma + 0.25 * gap;
-        }
+        self.submit_gaps.entry(target).and_modify(|g| g.note(now)).or_insert(GapEwma::new(now));
     }
 
-    /// The doorbell's latency budget toward `target`: the static override
-    /// when one is configured, otherwise a quarter of the congestion
-    /// window's smoothed RTT — capped by
-    /// [`CLibConfig::DOORBELL_DERIVED_CAP`], and
-    /// [`CLibConfig::DOORBELL_FALLBACK_DELAY`] (zero) before the first RTT
+    /// The doorbell's latency budget toward `target`: a quarter of the
+    /// congestion window's smoothed RTT, capped by
+    /// [`CLibConfig::DOORBELL_DERIVED_CAP`], and zero before the first RTT
     /// sample or after a window reset, so the transport never holds
     /// requests on an unmeasured fabric.
     pub fn doorbell_budget(&self, target: Mac) -> SimDuration {
-        match self.cfg.doorbell_max_delay {
-            Some(budget) => budget,
-            None => self
-                .cwnds
-                .get(&target)
-                .and_then(CongestionWindow::srtt)
-                .map(|srtt| (srtt / 4).min(CLibConfig::DOORBELL_DERIVED_CAP))
-                .unwrap_or(CLibConfig::DOORBELL_FALLBACK_DELAY),
-        }
+        let srtt = self.cwnds.get(&target).and_then(CongestionWindow::srtt);
+        doorbell::budget(srtt, CLibConfig::DOORBELL_DERIVED_CAP)
     }
 
-    /// How long the doorbell toward `target` may hold before pumping: zero
-    /// without a latency budget, recent-traffic history, or a full batch;
-    /// otherwise the time the observed submission rate needs to fill the
-    /// remaining batch slots, capped by the budget.
+    /// How long the doorbell toward `target` may hold before pumping (see
+    /// [`GapEwma::hold`]).
     fn doorbell_delay(&self, target: Mac) -> SimDuration {
-        let budget = self.doorbell_budget(target);
-        if budget.is_zero() {
-            return SimDuration::ZERO;
-        }
         let queued = self.queues.get(&target).map_or(0, VecDeque::len);
         let slots = (self.cfg.batch_max_ops as usize).saturating_sub(queued);
-        if slots == 0 {
-            return SimDuration::ZERO;
-        }
-        match self.submit_gap_ewma.get(&target) {
-            // Hold only when submissions come faster than the budget —
-            // waiting out a sparse stream delays the lone request for
-            // nothing (mirrors the MN's egress_hold guard).
-            Some(&gap) if gap > 0.0 && gap < budget.as_nanos() as f64 => {
-                SimDuration::from_nanos((gap * slots as f64) as u64).min(budget)
-            }
-            _ => SimDuration::ZERO,
-        }
+        self.submit_gaps
+            .get(&target)
+            .map_or(SimDuration::ZERO, |g| g.hold(slots, self.doorbell_budget(target)))
     }
 
     /// Makes queued requests toward `target` progress: immediately when
@@ -1125,12 +982,7 @@ impl Transport {
             }
             return;
         }
-        let mut batch =
-            BatchBuilder::new(self.cfg.batch_max_ops as usize, self.cfg.batch_max_bytes as usize);
-        // Trace contexts of the requests currently packed in `batch`, in
-        // push order: their NIC-serialization spans are stitched when the
-        // shared frame actually leaves (flush_batch).
-        let mut batch_traces: Vec<Option<TraceCtx>> = Vec::new();
+        let mut frame = OpenFrame::new(&self.cfg);
         loop {
             let now = ctx.now();
             let Some(queue) = self.queues.get_mut(&target) else { break };
@@ -1160,122 +1012,112 @@ impl Transport {
                 .expect("checked above");
             let conflict_gen = self.conflict_generations.remove(&q.token).unwrap_or(0);
             self.tracer.stitch(q.trace, self.track, Stage::DoorbellHold, now);
-            if self.batching() && q.blueprint.is_batchable() {
-                self.transmit_batched(
-                    ctx,
-                    nic,
-                    &mut batch,
-                    &mut batch_traces,
-                    q.token,
-                    target,
-                    q.pid,
-                    q.blueprint,
-                    conflict_gen,
-                    q.enqueued_at,
-                    q.trace,
-                );
-            } else {
-                // Flush first so the MN still sees requests in send order
-                // (fences must not overtake the batch in front of them).
-                self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces);
-                self.transmit(
-                    ctx,
-                    nic,
-                    q.token,
-                    target,
-                    q.pid,
-                    q.blueprint,
-                    None,
-                    0,
-                    conflict_gen,
-                    q.enqueued_at,
-                    q.trace,
-                );
-            }
+            self.launch(ctx, nic, target, &mut frame, q, conflict_gen);
         }
-        self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces);
+        self.flush(ctx, nic, target, &mut frame);
     }
 
-    /// Registers a batchable request as outstanding and adds its single
-    /// packet to `batch`, flushing first when a budget would be busted. A
-    /// request too large to share even an empty batch ships alone.
-    #[allow(clippy::too_many_arguments)] // internal sibling of `transmit`
-    fn transmit_batched(
+    /// Sends the first attempt of an admitted request under a fresh id —
+    /// packed into `frame` or shipped alone — arms its retry timer, and
+    /// tracks it as outstanding.
+    fn launch(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
-        batch: &mut BatchBuilder,
-        batch_traces: &mut Vec<Option<TraceCtx>>,
-        token: XferToken,
         target: Mac,
-        pid: Pid,
-        blueprint: Blueprint,
+        frame: &mut OpenFrame,
+        q: QueuedSend,
         conflict_retries: u32,
-        first_sent_at: SimTime,
-        trace: Option<TraceCtx>,
     ) {
         let req_id = self.fresh_id();
-        let mut packets = blueprint.build(req_id, None, pid);
-        debug_assert_eq!(packets.len(), 1, "batchable requests are single-packet");
-        self.annotate(&mut packets, target, trace);
-        let pkt = packets.pop().expect("single packet");
-        let entry_wire = codec::wire_len(&pkt);
-        if !batch.fits(entry_wire) {
-            self.flush_batch(ctx, nic, target, batch, batch_traces);
-        }
-        if batch.fits(entry_wire) {
-            let ClioPacket::Request { header, body } = pkt else {
-                unreachable!("blueprints build request packets")
-            };
-            batch.push(header, body);
-            batch_traces.push(trace);
-        } else {
-            let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
-            let send_start = ctx.now() + self.cfg.send_overhead;
-            let tx_end = nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt));
-            self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-            self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-        }
+        let packets = q.blueprint.build(req_id, None, q.pid);
+        self.pack(ctx, nic, target, frame, packets, &q.blueprint, q.trace);
         let timer = ctx.schedule(
-            self.timeout_for(&blueprint, target),
+            self.timeout_for(&q.blueprint, target),
             Message::cloneable(TransportTimer::Timeout(req_id)),
         );
-        let expected_bytes = blueprint.expected_response_bytes();
         self.track(
             req_id,
             Outstanding {
-                token,
+                token: q.token,
                 target,
-                pid,
-                blueprint,
-                expected_bytes,
+                pid: q.pid,
+                expected_bytes: q.blueprint.expected_response_bytes(),
+                blueprint: q.blueprint,
                 origin: req_id,
                 attempt_sent_at: ctx.now(),
-                first_sent_at,
+                first_sent_at: q.enqueued_at,
                 retries: 0,
                 conflict_retries,
                 timer: Some(timer),
-                trace,
+                trace: q.trace,
             },
         );
     }
 
-    /// Ships the accumulated batch (if any) as one wire frame, stitching
-    /// every member's pack + NIC-serialization spans to the frame's actual
-    /// transmit window. Returns whether a frame actually left.
-    fn flush_batch(
+    /// Puts one attempt's freshly built `packets` on the wire toward
+    /// `target` — the one packing routine of first sends and retries. A
+    /// batchable attempt joins the open `frame`, flushing it first when the
+    /// entry would bust a budget. Anything else — and an entry too large
+    /// for even an empty frame — flushes the frame ahead of it (the MN must
+    /// see requests in send order: fences must not overtake the batch in
+    /// front of them) and leaves in its own frames. Returns how many wire
+    /// frames left.
+    #[allow(clippy::too_many_arguments)] // the attempt's full identity travels together
+    fn pack(
         &mut self,
         ctx: &mut Ctx<'_>,
         nic: &mut NicPort,
         target: Mac,
-        batch: &mut BatchBuilder,
-        batch_traces: &mut Vec<Option<TraceCtx>>,
-    ) -> bool {
-        let ops = batch.len() as u64;
-        let Some(pkt) = batch.take() else {
-            batch_traces.clear();
-            return false;
-        };
+        frame: &mut OpenFrame,
+        mut packets: Vec<ClioPacket>,
+        blueprint: &Blueprint,
+        trace: Option<TraceCtx>,
+    ) -> u64 {
+        self.annotate(&mut packets, target, trace);
+        let mut frames = 0;
+        if self.batching() && blueprint.is_batchable() {
+            let Some(ClioPacket::Request { header, body }) = packets.pop() else {
+                unreachable!("batchable blueprints build one request packet")
+            };
+            let entry = (header, body);
+            if !frame.entries.fits(&entry) {
+                frames += self.flush(ctx, nic, target, frame);
+            }
+            if frame.entries.fits(&entry) {
+                frame.entries.push(entry);
+                frame.traces.push(trace);
+                return frames;
+            }
+            packets.push(ClioPacket::Request { header: entry.0, body: entry.1 });
+        } else {
+            frames += self.flush(ctx, nic, target, frame);
+        }
+        let send_start = ctx.now() + self.cfg.send_overhead;
+        let mut tx_end = send_start;
+        frames += packets.len() as u64;
+        for pkt in packets {
+            let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
+            tx_end =
+                tx_end.max(nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt)));
+        }
+        self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
+        self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
+        frames
+    }
+
+    /// Ships the open frame (if any) as one wire frame, stitching every
+    /// member's pack + NIC-serialization spans to the frame's actual
+    /// transmit window. Returns how many wire frames left (0 or 1).
+    fn flush(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nic: &mut NicPort,
+        target: Mac,
+        frame: &mut OpenFrame,
+    ) -> u64 {
+        let ops = frame.entries.len() as u64;
+        let Some(pkt) = frame.entries.take() else { return 0 };
         if ops > 1 {
             self.batch_frames.inc();
             self.batched_ops.add(ops);
@@ -1283,11 +1125,11 @@ impl Transport {
         let wire = (codec::wire_len(&pkt) + ETH_OVERHEAD_BYTES) as u32;
         let send_start = ctx.now() + self.cfg.send_overhead;
         let tx_end = nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt));
-        for trace in batch_traces.drain(..) {
+        for trace in frame.traces.drain(..) {
             self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
             self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
         }
-        true
+        1
     }
 
     /// Stamps freshly built request packets with the op's trace context and
@@ -1307,64 +1149,6 @@ impl Transport {
                 header.srtt_echo_ns = echo;
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal send/retry core
-    fn transmit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nic: &mut NicPort,
-        token: XferToken,
-        target: Mac,
-        pid: Pid,
-        blueprint: Blueprint,
-        retry_of: Option<ReqId>,
-        retries: u32,
-        conflict_retries: u32,
-        first_sent_at: SimTime,
-        trace: Option<TraceCtx>,
-    ) {
-        let req_id = self.fresh_id();
-        let retry_of = retry_of.filter(|_| blueprint.is_non_idempotent());
-        let mut packets = blueprint.build(req_id, retry_of, pid);
-        self.annotate(&mut packets, target, trace);
-        let send_start = ctx.now() + self.cfg.send_overhead;
-        let mut tx_end = send_start;
-        for pkt in &packets {
-            let wire = (codec::wire_len(pkt) + ETH_OVERHEAD_BYTES) as u32;
-            tx_end = tx_end.max(nic.send_at(
-                ctx,
-                send_start,
-                target,
-                wire,
-                Message::cloneable(pkt.clone()),
-            ));
-        }
-        self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-        self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-        let timer = ctx.schedule(
-            self.timeout_for(&blueprint, target),
-            Message::cloneable(TransportTimer::Timeout(req_id)),
-        );
-        self.track(
-            req_id,
-            Outstanding {
-                token,
-                target,
-                pid,
-                blueprint,
-                expected_bytes: 0, // filled below
-                origin: req_id,
-                attempt_sent_at: ctx.now(),
-                first_sent_at,
-                retries,
-                conflict_retries,
-                timer: Some(timer),
-                trace,
-            },
-        );
-        let bytes = self.outstanding[&req_id].blueprint.expected_response_bytes();
-        self.outstanding.get_mut(&req_id).expect("just inserted").expected_bytes = bytes;
     }
 
     /// The retry timeout of `blueprint` toward `target`: its own budget
@@ -1657,7 +1441,7 @@ impl Transport {
     /// Re-registers a timed-out/NACKed request under a fresh id and queues
     /// its retransmission behind a zero-delay retry doorbell, so every
     /// retry queued in the same pump — e.g. the timers of one lost batch
-    /// frame expiring together — re-coalesces through [`BatchBuilder`].
+    /// frame expiring together — re-coalesces into shared frames.
     /// The retry keeps its window slots. `retry_of` always names the
     /// chain's FIRST id (`Outstanding::origin`), never the immediately
     /// preceding attempt: the predecessor may itself have been lost before
@@ -1665,7 +1449,7 @@ impl Transport {
     /// recorded would re-execute a non-idempotent original that did land.
     /// (Found by the `clio_mc` model checker; pinned in
     /// `crates/cn/tests/mc_regressions.rs`.)
-    fn queue_retransmit(&mut self, ctx: &mut Ctx<'_>, o: Outstanding, prev_id: ReqId) {
+    fn queue_retransmit(&mut self, ctx: &mut Ctx<'_>, mut o: Outstanding, prev_id: ReqId) {
         let new_id = self.fresh_id();
         let retry_of = o.blueprint.is_non_idempotent().then_some(o.origin);
         let timer = ctx.schedule(
@@ -1674,7 +1458,9 @@ impl Transport {
         );
         self.reassembler.forget(prev_id);
         let target = o.target;
-        self.track(new_id, Outstanding { attempt_sent_at: ctx.now(), timer: Some(timer), ..o });
+        o.attempt_sent_at = ctx.now();
+        o.timer = Some(timer);
+        self.track(new_id, o);
         self.retry_queues.entry(target).or_default().push((new_id, retry_of));
         if self.retry_doorbells.insert(target) {
             ctx.schedule(SimDuration::ZERO, Message::cloneable(TransportTimer::RetryPump(target)));
@@ -1711,66 +1497,19 @@ impl Transport {
             }
             return;
         }
-        let mut batch =
-            BatchBuilder::new(self.cfg.batch_max_ops as usize, self.cfg.batch_max_bytes as usize);
-        let mut batch_traces: Vec<Option<TraceCtx>> = Vec::new();
-        let send_start = ctx.now() + self.cfg.send_overhead;
+        let mut frame = OpenFrame::new(&self.cfg);
         for (req_id, retry_of) in entries {
             // A retry can only vanish between queue and pump if its own
             // timer fired first; the timeout path re-queues it.
             let Some(o) = self.outstanding.get(&req_id) else { continue };
-            let trace = o.trace;
+            let (trace, blueprint) = (o.trace, o.blueprint.clone());
             self.tracer.stitch(trace, self.track, Stage::RetryDoorbell, ctx.now());
-            let mut packets = o.blueprint.build(req_id, retry_of, o.pid);
-            let batchable = self.batching() && packets.len() == 1 && o.blueprint.is_batchable();
-            self.annotate(&mut packets, target, trace);
-            if batchable {
-                let pkt = packets.pop().expect("single packet");
-                let entry_wire = codec::wire_len(&pkt);
-                if !batch.fits(entry_wire)
-                    && self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces)
-                {
-                    self.retry_frames.inc();
-                }
-                if batch.fits(entry_wire) {
-                    let ClioPacket::Request { header, body } = pkt else {
-                        unreachable!("blueprints build request packets")
-                    };
-                    batch.push(header, body);
-                    batch_traces.push(trace);
-                } else {
-                    let wire = (entry_wire + ETH_OVERHEAD_BYTES) as u32;
-                    let tx_end =
-                        nic.send_at(ctx, send_start, target, wire, Message::cloneable(pkt));
-                    self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-                    self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-                    self.retry_frames.inc();
-                }
-            } else {
-                // Multi-packet or unbatchable retries flush the batch ahead
-                // of them (send order) and travel alone.
-                if self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces) {
-                    self.retry_frames.inc();
-                }
-                let mut tx_end = send_start;
-                for pkt in &packets {
-                    let wire = (codec::wire_len(pkt) + ETH_OVERHEAD_BYTES) as u32;
-                    tx_end = tx_end.max(nic.send_at(
-                        ctx,
-                        send_start,
-                        target,
-                        wire,
-                        Message::cloneable(pkt.clone()),
-                    ));
-                    self.retry_frames.inc();
-                }
-                self.tracer.stitch(trace, self.track, Stage::Pack, send_start);
-                self.tracer.stitch(trace, self.track, Stage::NicSerialize, tx_end);
-            }
+            let packets = blueprint.build(req_id, retry_of, o.pid);
+            let frames = self.pack(ctx, nic, target, &mut frame, packets, &blueprint, trace);
+            self.retry_frames.add(frames);
         }
-        if self.flush_batch(ctx, nic, target, &mut batch, &mut batch_traces) {
-            self.retry_frames.inc();
-        }
+        let frames = self.flush(ctx, nic, target, &mut frame);
+        self.retry_frames.add(frames);
     }
 
     /// Handles a transport timer routed back by the host actor.

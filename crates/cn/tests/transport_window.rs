@@ -10,11 +10,10 @@
 //! when several entries of one batch frame draw the NACK fate, their NACKs
 //! travel coalesced as a `BatchNack`, covering the batched error path too.
 //!
-//! Also pins the RTT-derived doorbell budget: `doorbell_max_delay = None`
-//! derives the hold budget from the congestion window's smoothed RTT
-//! (≤ srtt/4), never exceeds the static cap, falls back to the static
-//! default (zero) before the first RTT sample, and forgets the derivation
-//! on `CongestionWindow::reset`.
+//! Also pins the RTT-derived doorbell budget: the hold budget comes from
+//! the congestion window's smoothed RTT (≤ srtt/4), never exceeds the
+//! static cap, is zero before the first RTT sample, and forgets the
+//! derivation on `CongestionWindow::reset`.
 
 use bytes::Bytes;
 use clio_cn::config::CLibConfig;
@@ -267,7 +266,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// RTT-derived doorbell budget (doorbell_max_delay = None)
+// RTT-derived doorbell budget
 // ---------------------------------------------------------------------
 
 use clio_sim::{SimDuration as D, SimTime};
@@ -276,11 +275,9 @@ use clio_sim::{SimDuration as D, SimTime};
 /// and checks every clause of the derivation contract.
 #[test]
 fn rtt_derived_budget_caps_falls_back_and_resets() {
-    let cfg = CLibConfig { doorbell_max_delay: None, ..CLibConfig::prototype() };
-    let mut t = Transport::new(cfg, 1);
+    let mut t = Transport::new(CLibConfig::prototype(), 1);
 
-    // Before any RTT sample: the static default (zero) — never hold blind.
-    assert_eq!(t.doorbell_budget(MN_MAC), CLibConfig::DOORBELL_FALLBACK_DELAY);
+    // Before any RTT sample: zero — never hold blind.
     assert_eq!(t.doorbell_budget(MN_MAC), D::ZERO);
 
     // One 8 µs response: srtt = 8 µs, budget = srtt/4 = 2 µs (< cap).
@@ -301,29 +298,18 @@ fn rtt_derived_budget_caps_falls_back_and_resets() {
     assert!(srtt / 4 > CLibConfig::DOORBELL_DERIVED_CAP, "srtt grew past the cap threshold");
     assert_eq!(t.doorbell_budget(MN_MAC), CLibConfig::DOORBELL_DERIVED_CAP);
 
-    // A window reset forgets the derivation: back to the fallback.
+    // A window reset forgets the derivation: back to zero.
     t.cwnd(MN_MAC).reset();
     assert_eq!(t.cwnd(MN_MAC).srtt(), None);
-    assert_eq!(t.doorbell_budget(MN_MAC), CLibConfig::DOORBELL_FALLBACK_DELAY);
+    assert_eq!(t.doorbell_budget(MN_MAC), D::ZERO);
 }
 
-#[test]
-fn static_budget_overrides_derivation() {
-    let cfg = CLibConfig { doorbell_max_delay: Some(D::from_micros(1)), ..CLibConfig::prototype() };
-    let mut t = Transport::new(cfg, 1);
-    assert_eq!(t.doorbell_budget(MN_MAC), D::from_micros(1), "override before warm-up");
-    let now = SimTime::from_nanos(1000);
-    assert!(t.cwnd(MN_MAC).try_acquire(now));
-    t.cwnd(MN_MAC).on_response(now, D::from_micros(100));
-    assert_eq!(t.doorbell_budget(MN_MAC), D::from_micros(1), "override after warm-up too");
-}
-
-/// End to end: after real traffic against the scripted MN (all-Ok fates)
-/// with no static delay configured, the hold budget is derived from the
-/// measured RTT and stays at or under srtt/4.
+/// End to end: after real traffic against the scripted MN (all-Ok fates),
+/// the hold budget is derived from the measured RTT and stays at or under
+/// srtt/4.
 #[test]
 fn doorbell_budget_derives_from_measured_rtt_after_warmup() {
-    let cfg = CLibConfig { doorbell_max_delay: None, ..CLibConfig::prototype() };
+    let cfg = CLibConfig::prototype();
     let mut sim = Simulation::new(11);
     let mn_id = sim.add_actor(ScriptedMn { cn: None, script: vec![], next: 0 });
     let nic = NicPort::new(CN_MAC, Bandwidth::from_gbps(40), mn_id, SimDuration::from_nanos(50));

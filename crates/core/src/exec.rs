@@ -24,12 +24,11 @@
 //!
 //! Awaiting an [`OpFuture`] reserves one unit of the process's in-flight
 //! budget and queues a submission; the driver flushes queued submissions
-//! to its compute node in program order. Each issued op carries the
-//! task's [`Waker`] down into CLib, so the completion path — CLib
-//! `finish()` — wakes the exact task that awaits it, with no `rpoll`
-//! scanning anywhere. Ops that die before reaching CLib (fail-fast routing
-//! errors) are caught by a fallback wake when the driver receives the
-//! completion event.
+//! to its compute node in program order. Each op's mailbox slot holds the
+//! awaiting task's [`Waker`]. Every completion — from CLib, or from a
+//! fail-fast routing error that never reached it — reaches the driver as
+//! one completion event, which fills the slot and wakes exactly that
+//! task, with no `rpoll` scanning anywhere.
 //!
 //! ## Backpressure
 //!
@@ -135,8 +134,8 @@ impl OpSlot {
 /// Work queued by task polls, flushed to the node in FIFO (program) order
 /// by the driver.
 enum Submission {
-    Op { spec: OpSpec, arrival: SimTime, slot: Rc<RefCell<OpSlot>>, waker: Waker },
-    Vec { specs: Vec<OpSpec>, arrival: SimTime, slots: Vec<Rc<RefCell<OpSlot>>>, waker: Waker },
+    Op { spec: OpSpec, arrival: SimTime, slot: Rc<RefCell<OpSlot>> },
+    Vec { specs: Vec<OpSpec>, arrival: SimTime, slots: Vec<Rc<RefCell<OpSlot>>> },
     Timer { tag: u64, dur: SimDuration },
     Cancel { token: AppToken },
 }
@@ -283,13 +282,13 @@ impl ExecDriver {
     }
 
     /// Issues every queued submission through the node API, in program
-    /// order, registering the awaiting task's waker with each op.
+    /// order.
     fn flush(&mut self, api: &mut ClientApi<'_, '_>) {
         loop {
             let sub = self.shared.inner.borrow_mut().submit_q.pop_front();
             let Some(sub) = sub else { break };
             match sub {
-                Submission::Op { spec, arrival, slot, waker } => {
+                Submission::Op { spec, arrival, slot } => {
                     if slot.borrow().cancel_requested {
                         // The deadline fired before the submission reached
                         // the node API: resolve locally and refund the
@@ -316,7 +315,6 @@ impl ExecDriver {
                         continue;
                     }
                     let token = api.issue(spec, arrival);
-                    api.register_waker(token, waker);
                     {
                         let mut s = slot.borrow_mut();
                         s.in_submit_q = false;
@@ -324,10 +322,9 @@ impl ExecDriver {
                     }
                     self.shared.inner.borrow_mut().op_slots.insert(token, slot);
                 }
-                Submission::Vec { specs, arrival, slots, waker } => {
+                Submission::Vec { specs, arrival, slots } => {
                     let tokens = api.issue_vec(specs, arrival);
                     for (token, slot) in tokens.into_iter().zip(slots) {
-                        api.register_waker(token, waker.clone());
                         self.shared.inner.borrow_mut().op_slots.insert(token, slot);
                     }
                 }
@@ -381,8 +378,6 @@ impl ExecDriver {
                 None => (None, None),
             }
         };
-        // Fallback wake: covers ops that failed before reaching CLib (the
-        // CLib-registered waker is the primary path).
         if let Some(w) = slot_waker {
             w.wake();
         }
@@ -658,7 +653,6 @@ impl Future for OpFuture {
                     spec: spec.take().expect("op submitted once"),
                     arrival: *arrival,
                     slot: this.slot.clone(),
-                    waker: cx.waker().clone(),
                 });
                 drop(inner);
                 this.state = OpState::Queued;
@@ -826,7 +820,6 @@ impl Future for VecOpFuture {
                     specs,
                     arrival: *arrival,
                     slots: slots.clone(),
-                    waker: cx.waker().clone(),
                 });
                 drop(inner);
                 this.state = VecOpState::Queued { slots };

@@ -216,12 +216,6 @@ struct HostOp {
     /// The arrival time to attribute the first CLib submission to (a
     /// `SubmitQueued` span covers [arrival, submit]); consumed on dispatch.
     queued_since: Option<SimTime>,
-    /// The CLib token of the current submission attempt (refreshed on
-    /// transparent re-routes), so wakers can follow the op across retries.
-    clib_token: Option<OpToken>,
-    /// Completion waker registered through `ClientApi::register_waker`;
-    /// re-armed with CLib on every re-submission.
-    waker: Option<std::task::Waker>,
 }
 
 /// Kick-off message: start all executors (sent by `Cluster::start`).
@@ -331,7 +325,6 @@ impl NodeCore {
                 let spec = host_op.spec.clone();
                 host_op.fanout = self.mn_macs.len() as u32;
                 let mut queued_since = host_op.queued_since.take();
-                let waker = host_op.waker.clone();
                 for mac in self.mn_macs.clone() {
                     // Only the first sub-submission carries the arrival
                     // attribution; the rest start at `now`.
@@ -339,9 +332,6 @@ impl NodeCore {
                     let op = spec.to_op(pid, mac);
                     let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, op);
                     self.token_map.insert(t, token);
-                    if let Some(w) = waker.clone() {
-                        self.clib.register_waker(t, w);
-                    }
                     self.enqueue_clib_completions(ctx, comps);
                 }
             }
@@ -383,21 +373,14 @@ impl NodeCore {
     }
 
     /// Submits `op` to CLib as the current attempt of `token`: attributes
-    /// the op's arrival (first attempt only), follows it with the op's
-    /// completion waker, and queues any immediate completions.
+    /// the op's arrival (first attempt only) and queues any immediate
+    /// completions.
     fn submit(&mut self, ctx: &mut Ctx<'_>, token: AppToken, op: Op) {
         let Some(host_op) = self.app_ops.get_mut(&token) else { return };
         let thread = ThreadId(host_op.driver as u64);
         self.clib.set_queued_since(host_op.queued_since.take());
-        let waker = host_op.waker.clone();
         let (t, comps) = self.clib.submit(ctx, &mut self.nic, thread, op);
         self.token_map.insert(t, token);
-        if let Some(host_op) = self.app_ops.get_mut(&token) {
-            host_op.clib_token = Some(t);
-        }
-        if let Some(w) = waker {
-            self.clib.register_waker(t, w);
-        }
         self.enqueue_clib_completions(ctx, comps);
     }
 
@@ -446,13 +429,6 @@ impl NodeCore {
         let (clib_tokens, comps) = self.clib.submit_many(ctx, &mut self.nic, thread, ops);
         for (t, app) in clib_tokens.into_iter().zip(routed) {
             self.token_map.insert(t, app);
-            if let Some(host_op) = self.app_ops.get_mut(&app) {
-                host_op.clib_token = Some(t);
-                let waker = host_op.waker.clone();
-                if let Some(w) = waker {
-                    self.clib.register_waker(t, w);
-                }
-            }
         }
         self.enqueue_clib_completions(ctx, comps);
     }
@@ -541,8 +517,6 @@ impl ClientApi<'_, '_> {
             moved_retries: 0,
             fanout: 1,
             queued_since: (arrival < now).then_some(arrival),
-            clib_token: None,
-            waker: None,
         }
     }
 
@@ -615,19 +589,6 @@ impl ClientApi<'_, '_> {
                 comps.extend(self.core.clib.cancel(self.ctx, &mut self.core.nic, t));
             }
             self.core.enqueue_clib_completions(self.ctx, comps);
-        }
-    }
-
-    /// Registers a completion waker for an outstanding op: it fires when the
-    /// op completes (following it across transparent re-routes). The
-    /// executor's per-op wake path — no-op if the op already completed.
-    pub(crate) fn register_waker(&mut self, token: AppToken, waker: std::task::Waker) {
-        if let Some(host_op) = self.core.app_ops.get_mut(&token) {
-            host_op.waker = Some(waker.clone());
-            let clib_token = host_op.clib_token;
-            if let Some(t) = clib_token {
-                self.core.clib.register_waker(t, waker);
-            }
         }
     }
 

@@ -58,7 +58,7 @@ use std::hash::{Hash, Hasher};
 
 use clio_cn::transport::McMutation;
 use clio_proto::ClioPacket;
-use clio_sim::{SimDuration, TryClone};
+use clio_sim::{Fnv, SimDuration, TryClone};
 
 use crate::harness::{Framing, Outcome, Scenario};
 
@@ -517,28 +517,6 @@ impl Run {
             ));
         }
         Ok(())
-    }
-}
-
-/// FNV-1a: a fast, deterministic hasher for state fingerprints.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -113,7 +113,7 @@ impl Actor for McCnHost {
     fn fork(&self) -> Option<Box<dyn Actor>> {
         Some(Box::new(McCnHost {
             nic: self.nic.clone(),
-            clib: self.clib.fork()?,
+            clib: self.clib.fork(),
             completions: self.completions.clone(),
         }))
     }

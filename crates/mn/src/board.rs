@@ -26,21 +26,21 @@
 //! through a per-destination **egress queue** ordered by completion time,
 //! drained by a doorbell that fires at the earliest pending completion.
 //! When the doorbell fires, single-packet responses whose completion times
-//! fall within `CBoardConfig::egress_doorbell_delay` of the fire time are
-//! packed into `ClioPacket::BatchResp` frames under the
-//! `resp_batch_max_ops`/`resp_batch_max_bytes`/MTU budgets; coalescing
-//! never sends data before the datapath produced it (a frame leaves the
-//! NIC no earlier than its slowest member's completion). The doorbell's
+//! fall within the hold budget of the fire time are packed into
+//! `ClioPacket::BatchResp` frames under the `resp_batch_max_ops`/MTU
+//! budgets; coalescing never sends data before the datapath produced it
+//! (a frame leaves the NIC no earlier than its slowest member's
+//! completion). The doorbell's
 //! hold is **load-adaptive**: with no recent traffic, or completions
 //! arriving farther apart than the budget, it fires at the response's own
 //! completion time (zero added latency — the common case for synchronous
 //! clients); under sustained concurrent load it waits up to the budget so
 //! pipelined completions merge, which is the documented latency/goodput
-//! trade. The hold's budget is **derived** by default
-//! (`egress_doorbell_delay = None`): a quarter of the destination's
-//! measured request-turnaround EWMA, capped at
+//! trade. The hold's budget is **derived**: a quarter of the destination's
+//! echoed CN srtt or measured request-turnaround EWMA, capped at
 //! `CBoardConfig::EGRESS_DERIVED_CAP` — the MN mirror of the CN's
-//! RTT-derived doorbell budget. Multi-fragment read responses and NACK
+//! RTT-derived doorbell budget, sized by the same hold policy
+//! (`clio_net::doorbell`). Multi-fragment read responses and NACK
 //! frames are never batched *with responses* or held (§4.4 wants NACK
 //! retries immediate); they flush the frame being assembled so
 //! per-destination send order is preserved — but the NACKs of one
@@ -81,16 +81,18 @@
 //!    buffer are TTL- and capacity-bounded.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 use clio_hw::dedup::DedupRecord;
 use clio_hw::silicon::{AccessTiming, AtomicOp, Silicon};
+use clio_net::doorbell::{self, GapEwma};
 use clio_net::{BoardPower, Frame, Mac, NicPort};
 use clio_proto::{
-    codec, split_read_response, ClioPacket, NackBatchBuilder, Pid, ReqHeader, ReqId, RequestBody,
-    RespBatchBuilder, RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
+    codec, split_read_response, ClioPacket, FrameBuilder, Pid, ReqHeader, ReqId, RequestBody,
+    RespHeader, ResponseBody, Status, ETH_OVERHEAD_BYTES,
 };
-use clio_sim::{Actor, ActorId, Ctx, EventId, Message, SimDuration, SimTime};
+use clio_sim::{Actor, ActorId, Ctx, EventId, Fnv, Message, SimDuration, SimTime};
 use clio_trace::metrics::{Counter, Gauge, Registry};
 use clio_trace::{Stage, TraceCtx, Tracer, Track};
 
@@ -273,10 +275,9 @@ pub struct CBoard {
     egress: HashMap<Mac, VecDeque<EgressEntry>>,
     /// The scheduled doorbell per destination: `(fire time, event)`.
     egress_doorbells: HashMap<Mac, (SimTime, EventId)>,
-    /// Last response-ready time per destination (feeds the adaptive hold).
-    egress_last_ready: HashMap<Mac, SimTime>,
-    /// EWMA of the response inter-completion gap per destination, in ns.
-    egress_gap_ewma: HashMap<Mac, f64>,
+    /// Response-ready gap history per destination (feeds the adaptive
+    /// hold).
+    egress_gaps: HashMap<Mac, GapEwma>,
     /// EWMA of the request turnaround (arrival → response ready) per
     /// destination, in ns: the board-visible component of that CN's RTT,
     /// from which the derived egress hold budget is computed.
@@ -325,8 +326,7 @@ impl CBoard {
             writes: WriteTracker::default(),
             egress: HashMap::new(),
             egress_doorbells: HashMap::new(),
-            egress_last_ready: HashMap::new(),
-            egress_gap_ewma: HashMap::new(),
+            egress_gaps: HashMap::new(),
             egress_turnaround_ewma: HashMap::new(),
             regions: RegionTable::new(),
             out_migrations: HashMap::new(),
@@ -450,48 +450,21 @@ impl CBoard {
     /// safety properties the checker enforces, and folding timestamps in
     /// would make every state unique and pruning useless.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-        let mut writes: Vec<u64> = self
-            .writes
-            .pending
-            .iter()
-            .map(|(id, w)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, id.0);
-                e = fnv_mix(e, w.remaining as u64);
-                e = fnv_mix(e, w.src.0 as u64);
-                e = fnv_mix(e, w.retry_of.map_or(0, |r| r.0 ^ 1));
-                fnv_mix(e, w.failed.is_some() as u64)
-            })
-            .collect();
-        writes.sort_unstable();
-        h = fnv_fold(h, 1, &writes);
-        let mut egress: Vec<u64> = self
-            .egress
-            .iter()
-            .map(|(dst, q)| {
-                let mut e = fnv_mix(0xcbf2_9ce4_8422_2325, dst.0 as u64);
-                for entry in q {
-                    let tag = match &entry.pkt {
-                        ClioPacket::Request { .. } => 1,
-                        ClioPacket::Batch { .. } => 2,
-                        ClioPacket::Response { .. } => 3,
-                        ClioPacket::BatchResp { .. } => 4,
-                        ClioPacket::Nack { .. } => 5,
-                        ClioPacket::BatchNack { .. } => 6,
-                    };
-                    e = fnv_mix(e, tag);
-                    e = fnv_mix(e, entry.pkt.req_id().0);
-                }
-                e
-            })
-            .collect();
-        egress.sort_unstable();
-        h = fnv_fold(h, 2, &egress);
-        h = fnv_mix(h, self.silicon.dedup().len() as u64);
-        h = fnv_mix(h, self.out_migrations.len() as u64);
-        h = fnv_mix(h, self.in_migrations.len() as u64);
-        h = fnv_mix(h, self.alive as u64);
-        h
+        let mut h = Fnv::default();
+        h.write_unordered(
+            self.writes
+                .pending
+                .iter()
+                .map(|(id, w)| (id, w.remaining, w.src, w.retry_of, w.failed.is_some())),
+        );
+        h.write_unordered(self.egress.iter().map(|(dst, q)| {
+            let kinds: Vec<_> =
+                q.iter().map(|e| (std::mem::discriminant(&e.pkt), e.pkt.req_id())).collect();
+            (dst, kinds)
+        }));
+        let dedup = self.silicon.dedup().len();
+        (dedup, self.out_migrations.len(), self.in_migrations.len(), self.alive).hash(&mut h);
+        h.finish()
     }
 
     /// The fast-path silicon (tests/harnesses inspect TLB, page table, ...).
@@ -543,8 +516,7 @@ impl CBoard {
         for (_, (_, event)) in self.egress_doorbells.drain() {
             ctx.cancel(event);
         }
-        self.egress_last_ready.clear();
-        self.egress_gap_ewma.clear();
+        self.egress_gaps.clear();
         self.egress_turnaround_ewma.clear();
         self.peer_srtt.clear();
         self.peer_srtt_ns.set(0);
@@ -594,25 +566,24 @@ impl CBoard {
         // the derived budget — toward zero when coalescing matters most.
         if holdable {
             let turnaround = ready.since(ctx.now()).as_nanos() as f64;
-            let tewma = self.egress_turnaround_ewma.entry(dst).or_insert(turnaround);
-            *tewma = 0.75 * *tewma + 0.25 * turnaround;
+            doorbell::ewma_step(
+                self.egress_turnaround_ewma.entry(dst).or_insert(turnaround),
+                turnaround,
+            );
         }
-        // Track the response inter-completion gap (EWMA, α = 1/4): the
-        // adaptive hold below only engages when completions come faster
-        // than the latency budget, i.e. when waiting will actually pay.
-        if let Some(prev) = self.egress_last_ready.insert(dst, ready) {
-            let gap = ready.since(prev.min(ready)).as_nanos() as f64;
-            let ewma = self.egress_gap_ewma.entry(dst).or_insert(gap);
-            *ewma = 0.75 * *ewma + 0.25 * gap;
-        }
+        // Track the response inter-completion gap: the adaptive hold below
+        // only engages when completions come faster than the latency
+        // budget, i.e. when waiting will actually pay.
+        self.egress_gaps.entry(dst).and_modify(|g| g.note(ready)).or_insert(GapEwma::new(ready));
         self.prune_egress_history(ctx.now());
         let queue = self.egress.entry(dst).or_default();
         // Completion times arrive mostly in order; insert from the back to
         // keep the queue sorted by `ready`.
         let pos = queue.iter().rposition(|e| e.ready <= ready).map_or(0, |i| i + 1);
         queue.insert(pos, EgressEntry { ready, pkt, trace });
-        let queued = queue.len();
-        let fire = if holdable { ready + self.egress_hold(dst, queued) } else { ready };
+        let slots = (self.cfg.resp_batch_max_ops as usize).saturating_sub(queue.len());
+        let hold = self.egress_gaps[&dst].hold(slots, self.egress_budget(dst));
+        let fire = if holdable { ready + hold } else { ready };
         match self.egress_doorbells.get(&dst) {
             Some(&(fire_at, _)) if fire_at <= fire => {}
             prior => {
@@ -634,17 +605,14 @@ impl CBoard {
     /// destinations, not by every client ever seen.
     fn prune_egress_history(&mut self, now: SimTime) {
         const MAX_IDLE: SimDuration = SimDuration::from_millis(10);
-        if self.egress_last_ready.len() <= 64 {
+        if self.egress_gaps.len() <= 64 {
             return;
         }
-        let last_ready = &mut self.egress_last_ready;
-        let gap_ewma = &mut self.egress_gap_ewma;
         let turnaround_ewma = &mut self.egress_turnaround_ewma;
         let peer_srtt = &mut self.peer_srtt;
-        last_ready.retain(|dst, &mut last| {
-            let keep = now.since(last) <= MAX_IDLE;
+        self.egress_gaps.retain(|dst, gaps| {
+            let keep = now.since(gaps.last()) <= MAX_IDLE;
             if !keep {
-                gap_ewma.remove(dst);
                 turnaround_ewma.remove(dst);
                 peer_srtt.remove(dst);
             }
@@ -652,54 +620,23 @@ impl CBoard {
         });
     }
 
-    /// The egress doorbell's latency budget toward `dst`: the static
-    /// override when one is configured; otherwise a quarter of the CN's
-    /// **echoed** smoothed RTT when this destination has echoed one in a
-    /// request header (so both ends of the link derive their doorbell
-    /// budgets from the same signal), falling back to a quarter of the
-    /// destination's board-measured request turnaround — both capped by
-    /// [`CBoardConfig::EGRESS_DERIVED_CAP`], and
-    /// [`CBoardConfig::EGRESS_FALLBACK_DELAY`] (zero) before the first
+    /// The egress doorbell's latency budget toward `dst`: zero with
+    /// response batching off; otherwise a quarter of the CN's **echoed**
+    /// smoothed RTT when this destination has echoed one in a request
+    /// header (so both ends of the link derive their doorbell budgets from
+    /// the same signal), falling back to a quarter of the destination's
+    /// board-measured request turnaround — both capped by
+    /// [`CBoardConfig::EGRESS_DERIVED_CAP`], and zero before the first
     /// sample, so an uncalibrated destination's responses are never held.
     fn egress_budget(&self, dst: Mac) -> SimDuration {
-        match self.cfg.egress_doorbell_delay {
-            Some(budget) => budget,
-            None => {
-                if let Some(&srtt) = self.peer_srtt.get(&dst) {
-                    return (SimDuration::from_nanos(srtt as u64) / 4)
-                        .min(CBoardConfig::EGRESS_DERIVED_CAP);
-                }
-                self.egress_turnaround_ewma
-                    .get(&dst)
-                    .map(|&t| {
-                        (SimDuration::from_nanos(t as u64) / 4)
-                            .min(CBoardConfig::EGRESS_DERIVED_CAP)
-                    })
-                    .unwrap_or(CBoardConfig::EGRESS_FALLBACK_DELAY)
-            }
-        }
-    }
-
-    /// The load-adaptive egress hold (the MN mirror of the CN's doorbell
-    /// delay): zero without a budget, with a full frame already queued, or
-    /// when responses complete farther apart than the budget (a hold would
-    /// buy nothing); otherwise the time the observed completion rate needs
-    /// to fill the frame's free slots, capped by the budget.
-    fn egress_hold(&self, dst: Mac, queued: usize) -> SimDuration {
-        let budget = self.egress_budget(dst);
-        if budget.is_zero() || self.cfg.resp_batch_max_ops <= 1 {
+        if self.cfg.resp_batch_max_ops <= 1 {
             return SimDuration::ZERO;
         }
-        let slots = (self.cfg.resp_batch_max_ops as usize).saturating_sub(queued);
-        if slots == 0 {
-            return SimDuration::ZERO;
-        }
-        match self.egress_gap_ewma.get(&dst) {
-            Some(&gap) if gap > 0.0 && gap < budget.as_nanos() as f64 => {
-                SimDuration::from_nanos((gap * slots as f64) as u64).min(budget)
-            }
-            _ => SimDuration::ZERO,
-        }
+        let rtt = match self.peer_srtt.get(&dst) {
+            Some(&srtt) => Some(srtt as u64),
+            None => self.egress_turnaround_ewma.get(&dst).map(|&t| t as u64),
+        };
+        doorbell::budget(rtt.map(SimDuration::from_nanos), CBoardConfig::EGRESS_DERIVED_CAP)
     }
 
     /// Drains `dst`'s egress queue: packs eligible single-packet responses
@@ -710,62 +647,49 @@ impl CBoard {
         let now = ctx.now();
         let horizon = now + self.egress_budget(dst);
         let Some(queue) = self.egress.get_mut(&dst) else { return };
-        let mut batch = RespBatchBuilder::new(
-            self.cfg.resp_batch_max_ops as usize,
-            self.cfg.resp_batch_max_bytes as usize,
-        );
+        let mut frame = FrameBuilder::new(self.cfg.resp_batch_max_ops as usize);
         // The frame under assembly leaves when its slowest member is ready.
         let mut frame_ready = now;
-        let mut batch_traces: Vec<TraceCtx> = Vec::new();
+        let mut frame_traces: Vec<TraceCtx> = Vec::new();
+        // (departure, packet, entries, traces) of every wire frame.
         let mut shipped: Vec<(SimTime, ClioPacket, u64, Vec<TraceCtx>)> = Vec::new();
-        let flush = |batch: &mut RespBatchBuilder,
-                     traces: &mut Vec<TraceCtx>,
-                     frame_ready: SimTime,
+        let flush = |frame: &mut FrameBuilder<_>,
+                     traces: &mut Vec<_>,
+                     ready: &mut SimTime,
                      out: &mut Vec<_>| {
-            let ops = batch.len() as u64;
-            if let Some(pkt) = batch.take() {
-                out.push((frame_ready, pkt, ops, std::mem::take(traces)));
+            let ops = frame.len() as u64;
+            if let Some(pkt) = frame.take() {
+                out.push((*ready, pkt, ops, std::mem::take(traces)));
             }
+            *ready = now;
         };
-        while let Some(head) = queue.front() {
-            if head.ready > horizon {
-                break;
-            }
-            let entry = queue.pop_front().expect("peeked");
-            let batchable = matches!(
-                &entry.pkt,
-                ClioPacket::Response { header, .. } if header.pkt_count <= 1
-            );
-            if batchable && self.cfg.resp_batch_max_ops > 1 {
-                let EgressEntry { ready, pkt, trace } = entry;
-                let ClioPacket::Response { header, body } = pkt else {
-                    unreachable!("checked batchable")
-                };
-                let entry_wire = codec::response_wire_len(&body);
-                if !batch.fits(entry_wire) {
-                    flush(&mut batch, &mut batch_traces, frame_ready, &mut shipped);
-                    frame_ready = now;
+        while queue.front().is_some_and(|head| head.ready <= horizon) {
+            let EgressEntry { ready, pkt, trace } = queue.pop_front().expect("peeked");
+            match pkt {
+                ClioPacket::Response { header, body } if header.pkt_count <= 1 => {
+                    let entry = (header, body);
+                    if !frame.fits(&entry) {
+                        flush(&mut frame, &mut frame_traces, &mut frame_ready, &mut shipped);
+                    }
+                    if frame.fits(&entry) {
+                        frame.push(entry);
+                        frame_traces.extend(trace);
+                        frame_ready = frame_ready.max(ready);
+                    } else {
+                        // Oversized even for an empty frame: ship alone.
+                        let pkt = ClioPacket::Response { header: entry.0, body: entry.1 };
+                        shipped.push((ready, pkt, 1, trace.into_iter().collect()));
+                    }
                 }
-                if batch.fits(entry_wire) {
-                    batch.push(header, body);
-                    batch_traces.extend(trace);
-                    frame_ready = frame_ready.max(ready);
-                } else {
-                    // Oversized even for an empty batch: ship alone.
-                    let traces: Vec<TraceCtx> = trace.into_iter().collect();
-                    shipped.push((ready, ClioPacket::Response { header, body }, 1, traces));
-                }
-            } else {
-                // NACKs, multi-fragment responses (and everything when
-                // response batching is disabled) flush the frame being
+                // NACKs and multi-fragment responses flush the frame being
                 // assembled and travel alone, preserving send order.
-                flush(&mut batch, &mut batch_traces, frame_ready, &mut shipped);
-                frame_ready = now;
-                let traces: Vec<TraceCtx> = entry.trace.into_iter().collect();
-                shipped.push((entry.ready, entry.pkt, 1, traces));
+                pkt => {
+                    flush(&mut frame, &mut frame_traces, &mut frame_ready, &mut shipped);
+                    shipped.push((ready, pkt, 1, trace.into_iter().collect()));
+                }
             }
         }
-        flush(&mut batch, &mut batch_traces, frame_ready, &mut shipped);
+        flush(&mut frame, &mut frame_traces, &mut frame_ready, &mut shipped);
         if let Some(head) = queue.front() {
             let at = head.ready;
             let ev = ctx.schedule(at.since(now), Message::cloneable(EgressDoorbell { dst }));
@@ -1466,26 +1390,6 @@ impl CBoard {
     }
 }
 
-/// FNV-1a step over one `u64`.
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Folds a **sorted** list of element digests into `h` under a section tag,
-/// so differently-keyed sections with equal content still hash apart.
-fn fnv_fold(mut h: u64, tag: u64, elems: &[u64]) -> u64 {
-    h = fnv_mix(h, tag);
-    h = fnv_mix(h, elems.len() as u64);
-    for &e in elems {
-        h = fnv_mix(h, e);
-    }
-    h
-}
-
 impl Actor for CBoard {
     fn name(&self) -> &str {
         &self.name
@@ -1510,8 +1414,7 @@ impl Actor for CBoard {
             writes: self.writes.clone(),
             egress: self.egress.clone(),
             egress_doorbells: self.egress_doorbells.clone(),
-            egress_last_ready: self.egress_last_ready.clone(),
-            egress_gap_ewma: self.egress_gap_ewma.clone(),
+            egress_gaps: self.egress_gaps.clone(),
             egress_turnaround_ewma: self.egress_turnaround_ewma.clone(),
             regions: self.regions.clone(),
             out_migrations: self.out_migrations.clone(),
@@ -1599,51 +1502,25 @@ impl Actor for CBoard {
             // corrupted 16-entry batch costs one recovery frame, not
             // sixteen. With response batching disabled the board keeps the
             // pre-coalescing wire behavior: one `Nack` frame per entry.
-            match frame.payload.downcast_ref::<ClioPacket>() {
-                Some(ClioPacket::Request { header, .. }) => {
-                    let req_id = header.req_id;
-                    self.stats.nacks.inc();
-                    let at = ctx.now() + self.control_latency();
-                    self.respond(ctx, at, src, ClioPacket::Nack { req_id });
-                }
+            let req_ids: Vec<ReqId> = match frame.payload.downcast_ref::<ClioPacket>() {
+                Some(ClioPacket::Request { header, .. }) => vec![header.req_id],
                 Some(ClioPacket::Batch { requests }) => {
-                    let at = ctx.now() + self.control_latency();
-                    self.stats.nacks.add(requests.len() as u64);
-                    if self.cfg.resp_batch_max_ops > 1 {
-                        let mut batch = NackBatchBuilder::new(
-                            self.cfg.resp_batch_max_ops as usize,
-                            self.cfg.resp_batch_max_bytes as usize,
-                        );
-                        for (header, _) in requests {
-                            if !batch.fits() {
-                                if let Some(pkt) = batch.take() {
-                                    self.respond(ctx, at, src, pkt);
-                                }
-                            }
-                            if batch.fits() {
-                                batch.push(header.req_id);
-                            } else {
-                                // A byte budget below even one coalesced
-                                // entry: fall back to a plain NACK frame.
-                                self.respond(
-                                    ctx,
-                                    at,
-                                    src,
-                                    ClioPacket::Nack { req_id: header.req_id },
-                                );
-                            }
-                        }
-                        if let Some(pkt) = batch.take() {
-                            self.respond(ctx, at, src, pkt);
-                        }
-                    } else {
-                        for (header, _) in requests {
-                            self.respond(ctx, at, src, ClioPacket::Nack { req_id: header.req_id });
-                        }
-                    }
+                    requests.iter().map(|(header, _)| header.req_id).collect()
                 }
-                _ => {}
+                _ => return,
+            };
+            let at = ctx.now() + self.control_latency();
+            self.stats.nacks.add(req_ids.len() as u64);
+            let mut nacks = FrameBuilder::new(self.cfg.resp_batch_max_ops as usize);
+            for req_id in req_ids {
+                if !nacks.fits(&req_id) {
+                    let pkt = nacks.take().expect("a full frame has entries");
+                    self.respond(ctx, at, src, pkt);
+                }
+                nacks.push(req_id);
             }
+            let pkt = nacks.take().expect("a corrupted frame carries a request");
+            self.respond(ctx, at, src, pkt);
             return;
         }
         let payload = match frame.payload.downcast::<ClioPacket>() {

@@ -41,6 +41,7 @@
 //! share one fabric.
 
 mod chaos;
+pub mod doorbell;
 mod frame;
 mod nic;
 mod switch;

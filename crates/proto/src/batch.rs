@@ -1,49 +1,97 @@
 //! MTU-bounded packing of small packets into batch frames, in both
-//! directions: [`BatchBuilder`] packs requests into [`ClioPacket::Batch`]
-//! (CN → MN), [`RespBatchBuilder`] packs responses into
-//! [`ClioPacket::BatchResp`] (MN → CN), and [`NackBatchBuilder`] packs the
-//! link-layer NACKs of one corrupted batch frame into
+//! directions: one [`FrameBuilder`] packs requests into
+//! [`ClioPacket::Batch`] (CN → MN), responses into [`ClioPacket::BatchResp`]
+//! (MN → CN), and the link-layer NACKs of one corrupted batch frame into
 //! [`ClioPacket::BatchNack`] (MN → CN, the error-path mirror).
 //!
 //! Clio's asynchronous API (§4.5 T1) keeps many small requests in flight;
 //! sent one per frame, a 16–64 B operation pays ~38 B of Ethernet overhead
 //! plus a full Clio header of framing per op — and its reply pays the same
-//! again on the board's 10 Gbps egress port. Both builders pack several
-//! same-destination single-packet entries into one wire frame under three
-//! budgets: the link MTU (always), a caller-chosen byte budget, and a
-//! caller-chosen op-count budget. Every entry keeps its own header
-//! ([`ReqHeader`] / [`RespHeader`]), so retries, deduplication, completion
-//! matching and window accounting stay per logical request.
+//! again on the board's 10 Gbps egress port. The builder packs several
+//! same-destination single-packet entries into one wire frame under two
+//! budgets: the link MTU and a caller-chosen op count. Every request and
+//! response entry keeps its own header ([`ReqHeader`] / [`RespHeader`]), so
+//! retries, deduplication, completion matching and window accounting stay
+//! per logical request.
 
 use crate::codec::{request_wire_len, response_wire_len, BATCH_OVERHEAD_BYTES, NACK_ENTRY_BYTES};
 use crate::mtu::MTU_BYTES;
 use crate::packet::{ClioPacket, ReqHeader, RequestBody, RespHeader, ResponseBody};
 use crate::types::ReqId;
 
-/// Accumulates request entries into an MTU-bounded batch frame.
-///
-/// `take` yields a plain [`ClioPacket::Request`] when only one entry
-/// accumulated, so a lone request's wire image is byte-identical to the
-/// unbatched protocol and batching is a pure overlay.
-#[derive(Debug)]
-pub struct BatchBuilder {
-    entries: Vec<(ReqHeader, RequestBody)>,
-    wire: usize,
-    max_ops: usize,
-    max_bytes: usize,
+/// One kind of batch-frame entry: a request, a response, or a NACKed
+/// request id.
+pub trait FrameEntry: Sized {
+    /// Encoded bytes this entry adds to a batch frame.
+    fn wire_len(&self) -> usize;
+
+    /// The packet carrying `entries` (at least one): the plain packet for a
+    /// lone entry — byte-identical to the unbatched protocol, so batching is
+    /// a pure overlay — and the batch frame otherwise.
+    fn into_packet(entries: Vec<Self>) -> ClioPacket;
 }
 
-impl BatchBuilder {
-    /// A builder admitting at most `max_ops` entries and at most
-    /// `max_bytes` of encoded batch frame (clamped to the MTU; values below
-    /// the smallest possible frame effectively disable multi-op batches).
-    pub fn new(max_ops: usize, max_bytes: usize) -> Self {
-        BatchBuilder {
-            entries: Vec::new(),
-            wire: BATCH_OVERHEAD_BYTES,
-            max_ops: max_ops.max(1),
-            max_bytes: max_bytes.min(MTU_BYTES),
+impl FrameEntry for (ReqHeader, RequestBody) {
+    fn wire_len(&self) -> usize {
+        request_wire_len(&self.1)
+    }
+
+    fn into_packet(mut requests: Vec<Self>) -> ClioPacket {
+        match requests.len() {
+            1 => {
+                let (header, body) = requests.pop().expect("one entry");
+                ClioPacket::Request { header, body }
+            }
+            _ => ClioPacket::Batch { requests },
         }
+    }
+}
+
+impl FrameEntry for (RespHeader, ResponseBody) {
+    fn wire_len(&self) -> usize {
+        response_wire_len(&self.1)
+    }
+
+    fn into_packet(mut responses: Vec<Self>) -> ClioPacket {
+        match responses.len() {
+            1 => {
+                let (header, body) = responses.pop().expect("one entry");
+                ClioPacket::Response { header, body }
+            }
+            _ => ClioPacket::BatchResp { responses },
+        }
+    }
+}
+
+impl FrameEntry for ReqId {
+    fn wire_len(&self) -> usize {
+        NACK_ENTRY_BYTES
+    }
+
+    fn into_packet(req_ids: Vec<Self>) -> ClioPacket {
+        match req_ids[..] {
+            [req_id] => ClioPacket::Nack { req_id },
+            _ => ClioPacket::BatchNack { req_ids },
+        }
+    }
+}
+
+/// Accumulates entries of one kind into an MTU-bounded batch frame.
+///
+/// `take` yields the plain packet when only one entry accumulated (see
+/// [`FrameEntry::into_packet`]).
+#[derive(Debug)]
+pub struct FrameBuilder<E> {
+    entries: Vec<E>,
+    wire: usize,
+    max_ops: usize,
+}
+
+impl<E: FrameEntry> FrameBuilder<E> {
+    /// A builder admitting at most `max_ops` entries (at least one) and at
+    /// most an MTU of encoded batch frame.
+    pub fn new(max_ops: usize) -> Self {
+        FrameBuilder { entries: Vec::new(), wire: BATCH_OVERHEAD_BYTES, max_ops: max_ops.max(1) }
     }
 
     /// Entries accumulated so far.
@@ -61,11 +109,10 @@ impl BatchBuilder {
         self.wire
     }
 
-    /// Whether a request whose standalone encoding is `entry_wire` bytes
-    /// ([`request_wire_len`]) can join the current batch without busting the
-    /// op, byte, or MTU budget.
-    pub fn fits(&self, entry_wire: usize) -> bool {
-        self.entries.len() < self.max_ops && self.wire + entry_wire <= self.max_bytes
+    /// Whether `entry` can join the current frame without busting the op
+    /// budget or the MTU.
+    pub fn fits(&self, entry: &E) -> bool {
+        self.entries.len() < self.max_ops && self.wire + entry.wire_len() <= MTU_BYTES
     }
 
     /// Appends an entry. Callers must check [`fits`](Self::fits) first.
@@ -73,174 +120,24 @@ impl BatchBuilder {
     /// # Panics
     ///
     /// Panics (debug builds) if the entry busts a budget.
-    pub fn push(&mut self, header: ReqHeader, body: RequestBody) {
-        let entry = request_wire_len(&body);
-        debug_assert!(self.fits(entry), "entry of {entry} B pushed into a full batch");
-        self.wire += entry;
-        self.entries.push((header, body));
+    pub fn push(&mut self, entry: E) {
+        debug_assert!(
+            self.fits(&entry),
+            "entry of {} B pushed into a full frame",
+            entry.wire_len()
+        );
+        self.wire += entry.wire_len();
+        self.entries.push(entry);
     }
 
     /// Takes the accumulated frame, leaving the builder empty for reuse.
-    /// Returns `None` when nothing accumulated; a single entry degenerates
-    /// to a plain [`ClioPacket::Request`] (no batch overhead on the wire).
+    /// Returns `None` when nothing accumulated.
     pub fn take(&mut self) -> Option<ClioPacket> {
         self.wire = BATCH_OVERHEAD_BYTES;
-        match self.entries.len() {
-            0 => None,
-            1 => {
-                let (header, body) = self.entries.pop().expect("one entry");
-                Some(ClioPacket::Request { header, body })
-            }
-            _ => Some(ClioPacket::Batch { requests: std::mem::take(&mut self.entries) }),
+        if self.entries.is_empty() {
+            return None;
         }
-    }
-}
-
-/// Accumulates response entries into an MTU-bounded batch frame — the
-/// egress mirror of [`BatchBuilder`], used by the board's per-destination
-/// egress queue.
-///
-/// `take` yields a plain [`ClioPacket::Response`] when only one entry
-/// accumulated, so a lone response's wire image is byte-identical to the
-/// unbatched protocol and response batching is a pure overlay.
-#[derive(Debug)]
-pub struct RespBatchBuilder {
-    entries: Vec<(RespHeader, ResponseBody)>,
-    wire: usize,
-    max_ops: usize,
-    max_bytes: usize,
-}
-
-impl RespBatchBuilder {
-    /// A builder admitting at most `max_ops` entries and at most
-    /// `max_bytes` of encoded batch frame (clamped to the MTU).
-    pub fn new(max_ops: usize, max_bytes: usize) -> Self {
-        RespBatchBuilder {
-            entries: Vec::new(),
-            wire: BATCH_OVERHEAD_BYTES,
-            max_ops: max_ops.max(1),
-            max_bytes: max_bytes.min(MTU_BYTES),
-        }
-    }
-
-    /// Entries accumulated so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entry has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Encoded size of the batch frame built so far (tag + count + entries).
-    pub fn wire_len(&self) -> usize {
-        self.wire
-    }
-
-    /// Whether a response whose standalone encoding is `entry_wire` bytes
-    /// ([`response_wire_len`]) can join the current batch without busting
-    /// the op, byte, or MTU budget.
-    pub fn fits(&self, entry_wire: usize) -> bool {
-        self.entries.len() < self.max_ops && self.wire + entry_wire <= self.max_bytes
-    }
-
-    /// Appends an entry. Callers must check [`fits`](Self::fits) first.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the entry busts a budget.
-    pub fn push(&mut self, header: RespHeader, body: ResponseBody) {
-        let entry = response_wire_len(&body);
-        debug_assert!(self.fits(entry), "response of {entry} B pushed into a full batch");
-        self.wire += entry;
-        self.entries.push((header, body));
-    }
-
-    /// Takes the accumulated frame, leaving the builder empty for reuse.
-    /// Returns `None` when nothing accumulated; a single entry degenerates
-    /// to a plain [`ClioPacket::Response`] (no batch overhead on the wire).
-    pub fn take(&mut self) -> Option<ClioPacket> {
-        self.wire = BATCH_OVERHEAD_BYTES;
-        match self.entries.len() {
-            0 => None,
-            1 => {
-                let (header, body) = self.entries.pop().expect("one entry");
-                Some(ClioPacket::Response { header, body })
-            }
-            _ => Some(ClioPacket::BatchResp { responses: std::mem::take(&mut self.entries) }),
-        }
-    }
-}
-
-/// Accumulates request ids into an MTU-bounded [`ClioPacket::BatchNack`]
-/// frame — the error-path mirror of [`RespBatchBuilder`], used by the board
-/// when a corrupted batch frame must NACK every entry it carried.
-///
-/// `take` yields a plain [`ClioPacket::Nack`] when only one id accumulated,
-/// so a lone NACK's wire image is byte-identical to the unbatched protocol
-/// and NACK coalescing is a pure overlay.
-#[derive(Debug)]
-pub struct NackBatchBuilder {
-    req_ids: Vec<ReqId>,
-    max_ops: usize,
-    max_bytes: usize,
-}
-
-impl NackBatchBuilder {
-    /// A builder admitting at most `max_ops` ids and at most `max_bytes` of
-    /// encoded batch frame (clamped to the MTU).
-    pub fn new(max_ops: usize, max_bytes: usize) -> Self {
-        NackBatchBuilder {
-            req_ids: Vec::new(),
-            max_ops: max_ops.max(1),
-            max_bytes: max_bytes.min(MTU_BYTES),
-        }
-    }
-
-    /// Ids accumulated so far.
-    pub fn len(&self) -> usize {
-        self.req_ids.len()
-    }
-
-    /// True when no id has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.req_ids.is_empty()
-    }
-
-    /// Encoded size of the batch frame built so far (tag + count + ids).
-    pub fn wire_len(&self) -> usize {
-        BATCH_OVERHEAD_BYTES + self.req_ids.len() * NACK_ENTRY_BYTES
-    }
-
-    /// Whether another id can join the current batch without busting the
-    /// op, byte, or MTU budget.
-    pub fn fits(&self) -> bool {
-        self.req_ids.len() < self.max_ops && self.wire_len() + NACK_ENTRY_BYTES <= self.max_bytes
-    }
-
-    /// Appends an id. Callers must check [`fits`](Self::fits) first.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the id busts a budget.
-    pub fn push(&mut self, req_id: ReqId) {
-        debug_assert!(self.fits(), "NACK id pushed into a full batch");
-        self.req_ids.push(req_id);
-    }
-
-    /// Takes the accumulated frame, leaving the builder empty for reuse.
-    /// Returns `None` when nothing accumulated; a single id degenerates to a
-    /// plain [`ClioPacket::Nack`] (no batch overhead on the wire).
-    pub fn take(&mut self) -> Option<ClioPacket> {
-        match self.req_ids.len() {
-            0 => None,
-            1 => {
-                let req_id = self.req_ids.pop().expect("one id");
-                Some(ClioPacket::Nack { req_id })
-            }
-            _ => Some(ClioPacket::BatchNack { req_ids: std::mem::take(&mut self.req_ids) }),
-        }
+        Some(E::into_packet(std::mem::take(&mut self.entries)))
     }
 }
 
@@ -248,127 +145,82 @@ impl NackBatchBuilder {
 mod tests {
     use super::*;
     use crate::codec::wire_len;
+    use crate::mtu::{MAX_READ_FRAG_PAYLOAD, MAX_WRITE_FRAG_PAYLOAD};
     use crate::types::{Pid, Status};
 
-    fn read_entry(id: u64) -> (ReqHeader, RequestBody) {
-        (ReqHeader::single(ReqId(id), Pid(1)), RequestBody::Read { va: id * 64, len: 32 })
+    fn request(id: u64, n: usize) -> (ReqHeader, RequestBody) {
+        let body = RequestBody::WriteFrag { va: id * 64, data: vec![0u8; n].into() };
+        (ReqHeader::single(ReqId(id), Pid(1)), body)
     }
 
-    #[test]
-    fn op_budget_enforced() {
-        let mut b = BatchBuilder::new(2, MTU_BYTES);
-        for id in 0..2 {
-            let (h, body) = read_entry(id);
-            assert!(b.fits(request_wire_len(&body)));
-            b.push(h, body);
-        }
-        let (_, body) = read_entry(2);
-        assert!(!b.fits(request_wire_len(&body)), "third op exceeds max_ops=2");
+    fn response(id: u64, n: usize) -> (RespHeader, ResponseBody) {
+        let body = ResponseBody::DataFrag { offset: 0, data: vec![0u8; n].into() };
+        (RespHeader::single(ReqId(id), Status::Ok), body)
     }
 
-    #[test]
-    fn byte_budget_and_mtu_enforced() {
-        let (_, body) = read_entry(0);
-        let entry = request_wire_len(&body);
-        // Budget for exactly two entries.
-        let mut b = BatchBuilder::new(64, BATCH_OVERHEAD_BYTES + 2 * entry);
-        let (h0, b0) = read_entry(0);
-        let (h1, b1) = read_entry(1);
-        b.push(h0, b0);
-        b.push(h1, b1);
-        assert!(!b.fits(entry));
-        // A byte budget above the MTU is clamped to the MTU.
-        let clamped = BatchBuilder::new(64, 1 << 20);
-        assert!(!clamped.fits(MTU_BYTES + 1));
+    /// What one entry kind must show: how `entry(id)` is built, the plain
+    /// packet a lone entry becomes, and the batch frame of several.
+    struct Case<E> {
+        entry: fn(u64) -> E,
+        plain: fn(E) -> ClioPacket,
+        batch: fn(&ClioPacket) -> bool,
+        /// An entry too large to join even an empty frame, if the kind has
+        /// one.
+        oversized: Option<E>,
     }
 
-    #[test]
-    fn single_entry_degenerates_to_plain_request() {
-        let mut b = BatchBuilder::new(16, MTU_BYTES);
-        let (h, body) = read_entry(7);
-        b.push(h, body.clone());
-        let pkt = b.take().expect("one entry");
-        assert_eq!(pkt, ClioPacket::Request { header: h, body });
-        assert!(b.take().is_none(), "builder resets after take");
-    }
+    fn check<E: FrameEntry + Clone + std::fmt::Debug>(case: Case<E>) {
+        // Op budget: the third entry is refused by a two-op builder.
+        let mut b = FrameBuilder::new(2);
+        assert!(b.is_empty() && b.take().is_none(), "an empty builder yields nothing");
+        b.push((case.entry)(0));
+        b.push((case.entry)(1));
+        assert!(!b.fits(&(case.entry)(2)), "third entry exceeds max_ops = 2");
 
-    #[test]
-    fn multi_entry_batch_wire_len_tracked_exactly() {
-        let mut b = BatchBuilder::new(16, MTU_BYTES);
-        for id in 0..5 {
-            let (h, body) = read_entry(id);
-            b.push(h, body);
-        }
+        // Exact wire length of a multi-entry frame, and reset after take.
         let predicted = b.wire_len();
-        let pkt = b.take().expect("batch");
-        assert!(matches!(pkt, ClioPacket::Batch { ref requests } if requests.len() == 5));
+        let pkt = b.take().expect("two entries");
+        assert!((case.batch)(&pkt), "two entries make a batch frame: {pkt:?}");
         assert_eq!(wire_len(&pkt), predicted);
-    }
+        assert!(b.is_empty() && b.wire_len() == BATCH_OVERHEAD_BYTES, "builder resets");
 
-    fn resp_entry(id: u64, n: usize) -> (RespHeader, ResponseBody) {
-        (
-            RespHeader::single(ReqId(id), Status::Ok),
-            ResponseBody::DataFrag { offset: 0, data: vec![0u8; n].into() },
-        )
+        // A lone entry becomes the plain packet.
+        b.push((case.entry)(7));
+        assert_eq!(b.take(), Some((case.plain)((case.entry)(7))), "a lone entry stays plain");
+
+        // MTU: a generous op budget still stops at the MTU.
+        let mut b = FrameBuilder::new(usize::MAX);
+        let mut id = 0;
+        while b.fits(&(case.entry)(id)) {
+            b.push((case.entry)(id));
+            id += 1;
+        }
+        assert!(b.len() > 1 && b.wire_len() <= MTU_BYTES);
+        assert!(b.wire_len() + (case.entry)(id).wire_len() > MTU_BYTES, "stopped by the MTU");
+        if let Some(big) = case.oversized {
+            assert!(!FrameBuilder::new(usize::MAX).fits(&big), "{big:?} exceeds an empty frame");
+        }
     }
 
     #[test]
-    fn resp_builder_enforces_budgets_and_degenerates() {
-        let mut b = RespBatchBuilder::new(2, MTU_BYTES);
-        let (h0, b0) = resp_entry(1, 16);
-        let entry = response_wire_len(&b0);
-        assert!(b.fits(entry));
-        b.push(h0, b0.clone());
-        let pkt = b.take().expect("one entry");
-        assert_eq!(pkt, ClioPacket::Response { header: h0, body: b0 });
-        assert!(b.take().is_none(), "builder resets after take");
-        // Op budget.
-        for id in 0..2 {
-            let (h, body) = resp_entry(id, 16);
-            b.push(h, body);
-        }
-        assert!(!b.fits(entry), "third entry exceeds max_ops=2");
-        // Byte budget clamps to the MTU.
-        let clamped = RespBatchBuilder::new(64, 1 << 20);
-        assert!(!clamped.fits(MTU_BYTES + 1));
-    }
-
-    #[test]
-    fn nack_builder_budgets_and_degeneration() {
-        let mut b = NackBatchBuilder::new(2, MTU_BYTES);
-        assert!(b.is_empty() && b.take().is_none());
-        b.push(ReqId(1));
-        let pkt = b.take().expect("one id");
-        assert_eq!(pkt, ClioPacket::Nack { req_id: ReqId(1) }, "lone NACK stays plain");
-        // Op budget.
-        b.push(ReqId(1));
-        b.push(ReqId(2));
-        assert!(!b.fits(), "third id exceeds max_ops=2");
-        let predicted = b.wire_len();
-        let pkt = b.take().expect("batch");
-        assert!(matches!(pkt, ClioPacket::BatchNack { ref req_ids } if req_ids.len() == 2));
-        assert_eq!(wire_len(&pkt), predicted);
-        assert!(b.is_empty(), "builder resets after take");
-        // Byte budget: room for exactly three ids.
-        let tight = NackBatchBuilder::new(64, BATCH_OVERHEAD_BYTES + 3 * NACK_ENTRY_BYTES);
-        let mut tight = tight;
-        for id in 0..3 {
-            assert!(tight.fits());
-            tight.push(ReqId(id));
-        }
-        assert!(!tight.fits(), "fourth id exceeds the byte budget");
-    }
-
-    #[test]
-    fn multi_entry_resp_batch_wire_len_tracked_exactly() {
-        let mut b = RespBatchBuilder::new(16, MTU_BYTES);
-        for id in 0..5 {
-            let (h, body) = resp_entry(id, 32);
-            b.push(h, body);
-        }
-        let predicted = b.wire_len();
-        let pkt = b.take().expect("batch");
-        assert!(matches!(pkt, ClioPacket::BatchResp { ref responses } if responses.len() == 5));
-        assert_eq!(wire_len(&pkt), predicted);
+    fn frame_builder_budgets_for_every_entry_kind() {
+        check(Case {
+            entry: |id| request(id, 40),
+            plain: |(header, body)| ClioPacket::Request { header, body },
+            batch: |p| matches!(p, ClioPacket::Batch { requests } if requests.len() == 2),
+            oversized: Some(request(0, MAX_WRITE_FRAG_PAYLOAD)),
+        });
+        check(Case {
+            entry: |id| response(id, 32),
+            plain: |(header, body)| ClioPacket::Response { header, body },
+            batch: |p| matches!(p, ClioPacket::BatchResp { responses } if responses.len() == 2),
+            oversized: Some(response(0, MAX_READ_FRAG_PAYLOAD)),
+        });
+        check(Case {
+            entry: ReqId,
+            plain: |req_id| ClioPacket::Nack { req_id },
+            batch: |p| matches!(p, ClioPacket::BatchNack { req_ids } if req_ids.len() == 2),
+            oversized: None,
+        });
     }
 }

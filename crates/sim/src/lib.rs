@@ -11,11 +11,11 @@
 //!   [`Simulation::fork`] to deep-copy a running simulation whose actors
 //!   and queued messages support it,
 //! * seeded random-number generation ([`SimRng`]) and workload distributions
-//!   ([`dist`]),
+//!   ([`dist`]), and the unseeded [`Fnv`] hasher behind state fingerprints,
 //! * resource-reservation primitives used to model pipelines, DMA engines and
 //!   thread pools ([`resource`]),
 //! * a statistics toolkit: log-bucketed latency histograms with percentiles,
-//!   counters, rate meters and time series ([`stats`]).
+//!   rate meters and time series ([`stats`]).
 //!
 //! Everything is single-threaded and deterministic: running the same
 //! simulation with the same seed produces the identical event sequence, which
@@ -46,6 +46,7 @@
 
 pub mod dist;
 mod engine;
+mod fnv;
 mod message;
 pub mod resource;
 mod rng;
@@ -53,6 +54,7 @@ pub mod stats;
 mod time;
 
 pub use engine::{Actor, ActorId, Ctx, EventId, ForkError, Simulation};
+pub use fnv::Fnv;
 pub use message::{Message, TryClone};
 pub use rng::SimRng;
 pub use time::{Bandwidth, Cycles, Frequency, SimDuration, SimTime};

@@ -1,9 +1,9 @@
-//! Measurement toolkit: latency histograms, counters, rates and time series.
+//! Measurement toolkit: latency histograms, rates and time series.
 
-mod counter;
 mod histogram;
+mod rate;
 mod series;
 
-pub use counter::{Counter, RateMeter};
 pub use histogram::{Histogram, LatencySummary};
+pub use rate::RateMeter;
 pub use series::{render_table, Series};

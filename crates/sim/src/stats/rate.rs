@@ -1,43 +1,6 @@
-//! Counters and rate meters.
+//! Rate meters.
 
-use crate::time::{Bandwidth, SimDuration, SimTime};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Events per second over `elapsed` simulated time.
-    pub fn rate_per_sec(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.value as f64 / elapsed.as_secs_f64()
-        }
-    }
-}
+use crate::time::{Bandwidth, SimTime};
 
 /// Accumulates transferred bytes over a measurement window and reports
 /// goodput. Used for every throughput figure.
@@ -111,16 +74,7 @@ impl RateMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.rate_per_sec(SimDuration::from_secs(5)), 1.0);
-        assert_eq!(c.rate_per_sec(SimDuration::ZERO), 0.0);
-    }
+    use crate::time::SimDuration;
 
     #[test]
     fn rate_meter_computes_goodput() {
